@@ -371,14 +371,15 @@ def cmd_train(run: Run) -> Path:
 def cmd_evaluate(run: Run) -> Path:
     family = run.cfg["model"]["family"]
     model_dir = run.workspace / "models" / run.hash
-    reports: List[MetricReport] = []
-    per_seed = {}
-    for seed in run.cfg["seeds"]:
-        path = model_dir / f"{family}_seed{seed}.npz"
+    paths = [(seed, model_dir / f"{family}_seed{seed}.npz") for seed in run.cfg["seeds"]]
+    for _, path in paths:
         if not path.exists():
             raise ConfigError(f"missing checkpoint {path}; run `train` first")
+    split = _split(run)
+    reports: List[MetricReport] = []
+    per_seed = {}
+    for seed, path in paths:
         model, prep = load_checkpoint(path)
-        split = _split(run)
         X_te, y_te = design_matrix(split.test, prep["feature_names"])
         X_te = (X_te - prep["mean"]) / prep["scale"]
         report = evaluate(y_te, model.predict(X_te), run.quantiles)

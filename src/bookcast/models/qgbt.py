@@ -1,13 +1,17 @@
 """Histogram gradient-boosted trees with quantile leaves, one ensemble per
 quantile level.
 
-Trees grow depth-wise on 256-bin feature histograms. Splits maximize the
+Trees grow depth-wise on 256-bin feature histograms. Split search at a node
+builds one flat (features x bins) histogram of counts and gradient sums
+across all features, one scatter-add each, then takes prefix sums, gains
+and one argmax over the whole 2-D array. Splits maximize the
 variance-style gain of the pinball-loss gradient (which depends only on the
-residual sign), and each leaf is then re-valued as the pinball-minimizing
-quantile of the raw residuals it holds, so every boosting step can only
-reduce the training pinball loss when no subsampling is active. reg_alpha
-soft-thresholds leaf values and reg_lambda shrinks them by n/(n + lambda)
-before the learning rate is applied.
+residual sign); ties go to the lowest feature position, then the lowest bin.
+Each leaf is then re-valued as the pinball-minimizing quantile of the raw
+residuals it holds, so every boosting step can only reduce the training
+pinball loss when no subsampling is active. reg_alpha soft-thresholds leaf
+values and reg_lambda shrinks them by n/(n + lambda) before the learning
+rate is applied.
 """
 
 from __future__ import annotations
@@ -43,6 +47,59 @@ class _Tree:
             pos[idx] = np.where(go_left, self.left[node], self.right[node])
 
 
+class _SplitSearch:
+    """Highest-gain split of a node over one flat histogram.
+
+    codes[i, p] is row i's slot for feature position p in a row-major
+    (feature position x bin) histogram of `width` bins per feature, so
+    codes = binned[:, feats] + offsets. The histogram and gain arrays are
+    allocated once per fit and reused by every node, because fresh arrays
+    of this size cost page faults on each allocation.
+    """
+
+    def __init__(self, n_feats: int, width: int):
+        self.width = width
+        self.offsets = np.arange(n_feats) * width
+        self.hist = np.empty((2, n_feats, width))     # counts, gradient sums
+        self.gain = np.empty((n_feats, max(width - 1, 0)))
+        self.right = np.empty_like(self.gain)
+
+    def best(self, codes: np.ndarray, g: np.ndarray) -> Optional[Tuple[int, int]]:
+        """(feature position, bin) of the split sending bins <= bin left, or
+        None when no split gains more than 1e-12.
+
+        Every slot adds its rows' gradients in row order, as a per-feature
+        bincount would, so sums do not depend on the histogram layout;
+        counts are integers, held exactly in floats. The flat argmax breaks
+        ties towards the lowest feature position, then the lowest bin.
+        """
+        if self.width < 2:
+            return None
+        n = g.size
+        total_sum = float(g.sum())
+        hist, gain, right = self.hist, self.gain, self.right
+        hist.fill(0.0)
+        cnt, sums = hist.reshape(2, -1)
+        np.add.at(cnt, codes, 1.0)
+        np.add.at(sums, codes, g[:, None])
+        np.cumsum(hist, axis=2, out=hist)
+        cnt_l, sum_l = hist[0, :, :-1], hist[1, :, :-1]
+        # gain = sum_l^2 / cnt_l + sum_r^2 / cnt_r - total_sum^2 / n
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.subtract(total_sum, sum_l, out=right)
+            np.square(right, out=right)
+            np.subtract(n, cnt_l, out=gain)
+            right /= gain
+            np.square(sum_l, out=gain)
+            gain /= cnt_l
+            gain += right
+            gain -= total_sum * total_sum / n
+        # padded bins and single-bin features leave one side empty
+        np.copyto(gain, -np.inf, where=(cnt_l == 0) | (cnt_l == n))
+        pos, k = divmod(int(np.argmax(gain)), self.width - 1)
+        return (pos, k) if gain[pos, k] > 1e-12 else None
+
+
 class QGBTModel(QuantileModel):
     family = "qgbt"
 
@@ -76,83 +133,52 @@ class QGBTModel(QuantileModel):
         self._trees: Optional[List[List[_Tree]]] = None  # [tau][iteration]
 
     def _bin_features(self, X: np.ndarray) -> Tuple[List[np.ndarray], np.ndarray]:
-        edges_per_feature = []
-        binned = np.empty(X.shape, dtype=np.int16)
         probe = np.linspace(0.0, 1.0, self.max_bins + 1)[1:-1]
+        cuts = np.quantile(X, probe, axis=0)
+        edges_per_feature = []
+        binned = np.empty(X.shape, dtype=np.int32)
         for j in range(X.shape[1]):
-            edges = np.unique(np.quantile(X[:, j], probe))
+            edges = np.unique(cuts[:, j])
             edges_per_feature.append(edges)
             binned[:, j] = np.searchsorted(edges, X[:, j], side="left")
         return edges_per_feature, binned
 
     def _grow_tree(self, binned, edges, residual, grad, rows, feats,
-                   n_bins_by_feat) -> _Tree:
-        feature, threshold, left, right, value = [], [], [], [], []
+                   search: _SplitSearch, tau) -> _Tree:
+        codes = binned[:, feats] + search.offsets
+        feature, threshold, left, right, value = [-1], [np.nan], [-1], [-1], [np.nan]
+        node_rows, node_depth = [rows], [0]
 
-        def new_node():
-            feature.append(-1)
-            threshold.append(np.nan)
-            left.append(-1)
-            right.append(-1)
-            value.append(np.nan)
-            return len(feature) - 1
-
-        def leaf_value(node_rows) -> float:
-            v = pinball_quantile(residual[node_rows], self._current_tau)
+        def leaf_value(r) -> float:
+            v = pinball_quantile(residual[r], tau)
             v = float(soft_threshold(np.array([v]), self.reg_alpha)[0])
-            n = node_rows.size
-            v *= n / (n + self.reg_lambda)
+            v *= r.size / (r.size + self.reg_lambda)
             return v * self.learning_rate
 
-        root = new_node()
-        queue = [(root, rows, 0)]
-        while queue:
-            node, node_rows, depth = queue.pop(0)
-            if depth >= self.max_depth or node_rows.size < 2:
-                value[node] = leaf_value(node_rows)
-                continue
-            g = grad[node_rows]
-            total_sum = float(g.sum())
-            total_cnt = node_rows.size
-            parent_score = total_sum * total_sum / total_cnt
-            best_gain = 1e-12
+        node = 0
+        while node < len(feature):
+            r = node_rows[node]
             best = None
-            for f in feats:
-                nb = n_bins_by_feat[f]
-                if nb < 2:
-                    continue
-                b = binned[node_rows, f]
-                cnt = np.bincount(b, minlength=nb)
-                sums = np.bincount(b, weights=g, minlength=nb)
-                cnt_l = np.cumsum(cnt)[:-1]
-                sum_l = np.cumsum(sums)[:-1]
-                cnt_r = total_cnt - cnt_l
-                sum_r = total_sum - sum_l
-                valid = (cnt_l > 0) & (cnt_r > 0)
-                if not valid.any():
-                    continue
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    gain = np.where(
-                        valid,
-                        sum_l ** 2 / cnt_l + sum_r ** 2 / cnt_r - parent_score,
-                        -np.inf)
-                k = int(np.argmax(gain))
-                if gain[k] > best_gain:
-                    best_gain = float(gain[k])
-                    best = (f, k)
+            if node_depth[node] < self.max_depth and r.size >= 2:
+                best = search.best(codes[r], grad[r])
             if best is None:
-                value[node] = leaf_value(node_rows)
-                continue
-            f, k = best
-            mask = binned[node_rows, f] <= k
-            left_rows = node_rows[mask]
-            right_rows = node_rows[~mask]
-            feature[node] = f
-            threshold[node] = float(edges[f][k])
-            left[node] = new_node()
-            right[node] = new_node()
-            queue.append((left[node], left_rows, depth + 1))
-            queue.append((right[node], right_rows, depth + 1))
+                value[node] = leaf_value(r)
+            else:
+                pos, k = best
+                f = int(feats[pos])
+                mask = binned[r, f] <= k
+                feature[node] = f
+                threshold[node] = float(edges[f][k])
+                left[node], right[node] = len(feature), len(feature) + 1
+                for child_rows in (r[mask], r[~mask]):
+                    feature.append(-1)
+                    threshold.append(np.nan)
+                    left.append(-1)
+                    right.append(-1)
+                    value.append(np.nan)
+                    node_rows.append(child_rows)
+                    node_depth.append(node_depth[node] + 1)
+            node += 1
 
         return _Tree(np.array(feature, dtype=np.intp),
                      np.array(threshold, dtype=float),
@@ -166,15 +192,14 @@ class QGBTModel(QuantileModel):
         y = np.asarray(y, dtype=float)
         n, d = X.shape
         edges, binned = self._bin_features(X)
-        n_bins_by_feat = np.array([e.size + 1 for e in edges])
         n_sub = max(1, int(round(self.subsample * n)))
         n_feat = max(1, int(round(self.colsample_by_tree * d))) if d else 0
+        search = _SplitSearch(n_feat, max((e.size + 1 for e in edges), default=0))
 
         self._base = np.array([pinball_quantile(y, t) for t in self.quantiles])
         self._trees = [[] for _ in self.quantiles]
         traces = np.zeros((len(self.quantiles), self.n_estimators))
         for qi, tau in enumerate(self.quantiles):
-            self._current_tau = tau
             rng = rng_for(self.seed, qi)
             pred = np.full(n, self._base[qi])
             for m in range(self.n_estimators):
@@ -185,11 +210,10 @@ class QGBTModel(QuantileModel):
                 residual = y - pred
                 grad = np.where(residual >= 0, tau, tau - 1.0)
                 tree = self._grow_tree(binned, edges, residual, grad,
-                                       rows, feats, n_bins_by_feat)
+                                       rows, feats, search, tau)
                 self._trees[qi].append(tree)
                 pred += tree.apply(X)
                 traces[qi, m] = float(np.mean(pinball(y, pred, tau)))
-        del self._current_tau
         return TrainReport(loss_trace=list(traces.mean(axis=0)),
                            wall_time=time.perf_counter() - t0)
 

@@ -135,3 +135,40 @@ def brute_knn_quantiles(X_train, y_train, query, k, taus, metric="euclidean"):
         d = np.abs(X_train - query).sum(axis=1)
     near = y_train[np.argsort(d, kind="stable")[:k]]
     return np.quantile(near, taus)
+
+
+def brute_qgbt_node_gains(X, grad, rows, feats, max_bins):
+    """Every candidate split of one QGBT node, with its gain, by plain loops.
+
+    A feature's candidate thresholds are the distinct quantiles of its
+    training column at levels 1/max_bins, ..., (max_bins-1)/max_bins; a
+    split sends the node's rows with x <= threshold left. The gain is
+    sum_l^2/n_l + sum_r^2/n_r - sum^2/n over the gradients. Returns
+    (gain, feature, threshold) for every split that leaves both sides
+    non-empty, in feature-then-threshold order, and the sum of squared
+    gradients of the node, which bounds every term of a gain.
+    """
+    probe = np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
+    total = 0.0
+    squares = 0.0
+    for i in rows:
+        total += grad[i]
+        squares += grad[i] * grad[i]
+    parent = total * total / len(rows)
+    out = []
+    for f in feats:
+        cuts = sorted(set(float(c) for c in np.quantile(X[:, f], probe)))
+        for cut in cuts:
+            sum_l = sum_r = 0.0
+            n_l = n_r = 0
+            for i in rows:
+                if X[i, f] <= cut:
+                    sum_l += grad[i]
+                    n_l += 1
+                else:
+                    sum_r += grad[i]
+                    n_r += 1
+            if n_l and n_r:
+                out.append((sum_l * sum_l / n_l + sum_r * sum_r / n_r - parent,
+                            int(f), cut))
+    return out, squares

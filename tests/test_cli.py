@@ -5,6 +5,7 @@ import sys
 import pytest
 import yaml
 
+from bookcast import market
 from bookcast.cli import main
 from bookcast.features import FEATURE_NAMES
 
@@ -116,6 +117,21 @@ def test_train_then_evaluate(tmp_path):
 def test_evaluate_without_checkpoint_exits_2(tmp_path):
     cfg = write_cfg(tmp_path)
     assert run_cli("evaluate", "--config", str(cfg)) == 2
+
+
+def test_evaluate_reads_features_once(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, seeds=[0, 1])
+    assert run_cli("train", "--config", str(cfg)) == 0
+    calls = []
+    read = market.read_samples_csv
+
+    def counting_read(fh):
+        calls.append(1)
+        return read(fh)
+
+    monkeypatch.setattr(market, "read_samples_csv", counting_read)
+    assert run_cli("evaluate", "--config", str(cfg)) == 0
+    assert len(calls) == 1
 
 
 def test_unknown_config_field_exits_2(tmp_path):

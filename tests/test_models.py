@@ -4,8 +4,9 @@ import pytest
 from bookcast.metrics import pinball
 from bookcast.models import (LQRModel, QGBTModel, QKNNModel, QMLPModel,
                              load_checkpoint, make_model, save_checkpoint)
-from bookcast.util import pinball_quantile, weighted_quantile_geq
-from oracles import brute_knn_quantiles
+from bookcast.util import pinball_quantile, rng_for, weighted_quantile_geq
+from oracles import (brute_knn_quantiles, brute_qgbt_node_gains,
+                     pinball_optimal_intercept)
 
 Q3 = (0.1, 0.5, 0.9)
 
@@ -197,6 +198,19 @@ def test_qgbt_config_validation():
         QGBTModel(Q3, subsample=0.0)
 
 
+def test_qgbt_bins_beyond_int16():
+    # 40000 distinct values need bin indices above 32767
+    X = np.arange(40000.0)[:, None]
+    m = QGBTModel((0.875,), n_estimators=1, max_depth=1, learning_rate=1.0,
+                  max_bins=40000)
+    m.fit(X, X[:, 0])
+    # the 0.875-quantile of y is 34999, so the pure split of the residual
+    # signs sends x <= 34998 left
+    tree = m._trees[0][0]
+    assert tree.feature[0] == 0
+    assert 34998.0 <= tree.threshold[0] < 34999.0
+
+
 def test_qgbt_regularization_shrinks_leaves():
     rng = np.random.default_rng(10)
     X = rng.normal(size=(100, 3))
@@ -208,6 +222,73 @@ def test_qgbt_regularization_shrinks_leaves():
     heavy.fit(X, y)
     base = pinball_quantile(y, 0.5)
     assert np.abs(heavy.predict(X) - base).max() < np.abs(plain.predict(X) - base).max()
+
+
+def _check_qgbt_tree(model, tree, X, residual, grad, rows, feats, tau):
+    """Compare every node of one fitted tree with the plain-loop oracle."""
+    node_rows = {0: list(rows)}
+    depth = {0: 0}
+    order = [0]
+    for node in order:
+        r = node_rows[node]
+        cands, squares = brute_qgbt_node_gains(X, grad, r, feats, model.max_bins)
+        tol = 1e-12 * squares
+        best = max((c[0] for c in cands), default=-np.inf)
+        f = int(tree.feature[node])
+        if f < 0:
+            assert (depth[node] >= model.max_depth or len(r) < 2
+                    or best <= 1e-12 + tol), (node, best)
+            q = pinball_optimal_intercept(residual[r], tau)
+            q = float(np.sign(q)) * max(abs(q) - model.reg_alpha, 0.0)
+            want = q * (len(r) / (len(r) + model.reg_lambda)) * model.learning_rate
+            assert tree.value[node] == pytest.approx(want, rel=1e-12, abs=0)
+            continue
+        assert depth[node] < model.max_depth and best > 1e-12 - tol
+        # ties go to the lowest feature, then the lowest threshold
+        first = next(c for c in cands if c[0] >= best - tol)
+        assert (f, float(tree.threshold[node])) == first[1:], (node, first)
+        left = [i for i in r if X[i, f] <= tree.threshold[node]]
+        right = [i for i in r if X[i, f] > tree.threshold[node]]
+        for child, child_rows in ((tree.left[node], left), (tree.right[node], right)):
+            node_rows[int(child)] = child_rows
+            depth[int(child)] = depth[node] + 1
+            order.append(int(child))
+    assert sorted(order) == list(range(tree.feature.size))
+
+
+@pytest.mark.parametrize("cfg", [
+    {"n_estimators": 3, "max_depth": 3},
+    {"n_estimators": 3, "max_depth": 3, "subsample": 0.6},
+    {"n_estimators": 3, "max_depth": 2, "colsample_by_tree": 0.5},
+    {"n_estimators": 3, "max_depth": 3, "max_bins": 4,
+     "reg_alpha": 0.05, "reg_lambda": 3.0},
+    {"n_estimators": 2, "max_depth": 0},
+])
+def test_qgbt_splits_match_plain_loop_oracle(cfg):
+    rng = np.random.default_rng(12)
+    n, d = 48, 4
+    X = rng.normal(size=(n, d))
+    X[:, 2] = 0.7                      # constant column: never splittable
+    X[:, 3] = np.round(X[:, 3])        # few distinct values: tied bins
+    y = 4.0 * X[:, 0] + np.sin(3.0 * X[:, 1]) + X[:, 3] + rng.normal(size=n)
+    seed = 5
+    model = QGBTModel(Q3, seed=seed, learning_rate=0.3, **cfg)
+    model.fit(X, y)
+    n_sub = max(1, int(round(model.subsample * n)))
+    n_feat = max(1, int(round(model.colsample_by_tree * d)))
+    for qi, tau in enumerate(Q3):
+        # replay the fit's row and feature draws and its residuals
+        draw = rng_for(seed, qi)
+        pred = np.full(n, model._base[qi])
+        for tree in model._trees[qi]:
+            rows = (np.arange(n) if n_sub == n
+                    else np.sort(draw.choice(n, size=n_sub, replace=False)))
+            feats = (np.arange(d) if n_feat == d
+                     else np.sort(draw.choice(d, size=n_feat, replace=False)))
+            residual = y - pred
+            grad = np.where(residual >= 0, tau, tau - 1.0)
+            _check_qgbt_tree(model, tree, X, residual, grad, rows, feats, tau)
+            pred += tree.apply(X)
 
 
 # ---------------------------------------------------------------- QMLP
