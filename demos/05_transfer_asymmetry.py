@@ -9,9 +9,10 @@ from liquid to sparse tend to hold up; the reverse degrades.
 
 import datetime as dt
 
-from bookcast import ProductSpec, SplitBoundaries, SynthConfig, make_domain_pair
+from bookcast import (ProductSpec, SplitBoundaries, SynthConfig, make_domain_pair,
+                      run_pair, sweep_point)
 from bookcast.selection import SolverConfig, default_alpha_grid
-from bookcast.transfer import asymmetry_sweep, run_pair, trade_count_ratio
+from bookcast.transfer import trade_count_ratio
 from bookcast.util import UTC
 
 spec = ProductSpec(market="DE", product_type="60min")
@@ -38,8 +39,12 @@ for strategy, ratio in pair.loss_ratio.items():
     aql = pair.summary[strategy]["aql"]
     print(f"  {strategy:8s} AQL={aql['mean']:.3f}±{aql['std']:.3f}  L={ratio:.3f}")
 
-points = asymmetry_sweep([(sparse, liquid), (liquid, sparse)], "qknn", 6, [0, 1],
-                         quantiles, alpha_grid=grid, solver_cfg=solver)
+# the pair above already holds the liquid -> sparse point; the reverse
+# direction needs its own baseline on the liquid domain
+points = [sweep_point(pair),
+          sweep_point(run_pair(liquid, sparse, "qknn", budget=6, seeds=[0, 1],
+                               quantiles=quantiles, strategies=("B->A",),
+                               alpha_grid=grid, solver_cfg=solver))]
 print("\n(C, L) scatter points:")
 for p in points:
     print(f"  {p['source']:>7s} -> {p['target']:7s} C={p['trade_count_ratio']:6.2f} "

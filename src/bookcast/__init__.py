@@ -13,7 +13,8 @@ from .selection import (fit_l1_lqr, importance_breakdown, select_features,
                         standardize, top_k, tune_alpha)
 from .synth import SynthConfig, generate, make_domain_pair
 from .target import compute_id3
-from .transfer import Domain, asymmetry_sweep, run_pair, run_strategy
+from .transfer import (Domain, asymmetry_sweep, run_pair, run_strategy,
+                       sweep_point)
 
 __all__ = [
     "Domain",
@@ -49,6 +50,7 @@ __all__ = [
     "select_features",
     "split_dataset",
     "standardize",
+    "sweep_point",
     "top_k",
     "tune_alpha",
 ]

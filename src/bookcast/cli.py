@@ -2,9 +2,13 @@
 
 A single declarative YAML/JSON config drives every command; selected flags
 override individual fields. Outputs land under
-``workspace/{synth,features,selection,models,metrics,transfer}/<config-hash>/``
-so reruns with the same resolved config overwrite identical content. Exit
-codes: 0 success, 1 runtime failure, 2 config error.
+``workspace/{synth,features,selection,models,metrics,transfer}/<key>/``,
+where an area's key hashes only the config fields its outputs depend on
+(``STAGE_FIELDS``): changing a model setting reuses the synth, features and
+selection directories, and reruns with the same fields overwrite identical
+content. ``workspace`` and ``jobs`` key nothing. A command that needs a
+missing upstream output makes it first. Exit codes: 0 success, 1 runtime
+failure, 2 config error.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ import yaml
 
 from ._version import __version__
 from . import market, synth
-from .experiment import NAIVE_FEATURE_SETS, design_matrix, run_experiment
+from .experiment import (NAIVE_FEATURE_SETS, apply_prep, design_matrix,
+                         run_experiment)
 from .features import FEATURE_NAMES
 from .market import ProductSpec, SplitBoundaries, split_dataset
 from .metrics import MetricReport, evaluate, format_mean_std, summarize_runs
@@ -33,7 +38,8 @@ from .models import load_checkpoint, save_checkpoint
 from .search import write_trials_jsonl
 from .selection import (SolverConfig, default_alpha_grid, importance_breakdown,
                         top_k)
-from .transfer import STRATEGIES, asymmetry_sweep, ensure_selection, run_pair
+from .transfer import (STRATEGIES, domain_from_split, ensure_selection, run_pair,
+                       sweep_point)
 from .util import UTC, config_hash, parse_timestamp
 
 log = logging.getLogger("bookcast")
@@ -71,7 +77,6 @@ DEFAULT_CONFIG: Dict[str, object] = {
     },
     "selector": {
         "alpha_grid_size": 50,
-        "zero_threshold": 1e-6,
         "kappa": 1e-4,
         "stages": 3,
         "max_iter": 10000,
@@ -153,6 +158,24 @@ def _validate(cfg: dict) -> None:
         raise ConfigError(f"fields 'market'/'product_type': {exc}") from None
 
 
+# The config fields each workspace area's outputs depend on; each area keeps
+# its upstream area's fields, so a key moves whenever any input upstream does.
+_SYNTH_FIELDS = ("seed", "synth", "market", "product_type", "tz",
+                 "horizon_start", "horizon_end")
+_FEATURE_FIELDS = _SYNTH_FIELDS + ("trades_csv",)
+_SELECTION_FIELDS = _FEATURE_FIELDS + ("train_end", "val_end", "test_end",
+                                       "quantiles", "selector")
+_MODEL_FIELDS = _SELECTION_FIELDS + ("model", "seeds")
+STAGE_FIELDS: Dict[str, tuple] = {
+    "synth": _SYNTH_FIELDS,
+    "features": _FEATURE_FIELDS,
+    "selection": _SELECTION_FIELDS,
+    "models": _MODEL_FIELDS,
+    "metrics": _MODEL_FIELDS,
+    "transfer": _SELECTION_FIELDS + ("transfer",),
+}
+
+
 def _tz(name: str) -> dt.tzinfo:
     return UTC if name.upper() == "UTC" else zoneinfo.ZoneInfo(name)
 
@@ -162,7 +185,8 @@ class Run:
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
-        self.hash = config_hash(cfg)
+        self.keys = {area: config_hash({f: cfg[f] for f in fields})
+                     for area, fields in STAGE_FIELDS.items()}
         self.tz = _tz(cfg["tz"])
         self.workspace = Path(cfg["workspace"])
         self.spec = ProductSpec(market=cfg["market"], product_type=cfg["product_type"])
@@ -181,24 +205,35 @@ class Run:
         self.alpha_grid = default_alpha_grid(int(sel["alpha_grid_size"]))
 
     def dir(self, area: str) -> Path:
-        d = self.workspace / area / self.hash
+        d = self.workspace / area / self.keys[area]
         d.mkdir(parents=True, exist_ok=True)
         return d
 
-    def meta(self) -> dict:
-        return {"config_hash": self.hash, "tool_version": __version__}
+    def meta(self, area: str) -> dict:
+        return {"config_hash": self.keys[area], "tool_version": __version__}
 
-    def write_json(self, path: Path, payload: dict) -> None:
-        payload = {**payload, **self.meta()}
+    def write_json(self, area: str, name: str, payload: dict) -> Path:
+        path = self.dir(area) / name
+        payload = {**payload, **self.meta(area)}
         path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
                         encoding="utf-8")
+        return path
 
-    def write_csv(self, path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+    def write_csv(self, area: str, name: str, header: Sequence[str],
+                  rows: Sequence[Sequence]) -> None:
+        with open(self.dir(area) / name, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(list(header) + ["config_hash", "tool_version"])
             for row in rows:
-                writer.writerow(list(row) + [self.hash, __version__])
+                writer.writerow(list(row) + [self.keys[area], __version__])
+
+
+def _output(run: Run, area: str, name: str, make) -> Path:
+    """Path of ``name`` in ``area``; ``make(run)`` writes it first if missing."""
+    path = run.dir(area) / name
+    if not path.exists():
+        make(run)
+    return path
 
 
 def _synth_config(run: Run, overrides: Optional[dict] = None) -> synth.SynthConfig:
@@ -215,19 +250,14 @@ def cmd_synth(run: Run) -> Path:
     with open(out, "w", newline="", encoding="utf-8") as fh:
         market.write_trades_csv(data.trades, fh)
     # the canonical trade format has a fixed header, so provenance lives beside it
-    run.write_json(out.parent / "meta.json", {"n_trades": len(data.trades)})
+    run.write_json("synth", "meta.json", {"n_trades": len(data.trades)})
     log.info("wrote %d trades to %s", len(data.trades), out)
     return out
 
 
 def _load_trades(run: Run) -> List[market.Trade]:
     src = run.cfg["trades_csv"]
-    if src is None:
-        path = run.dir("synth") / "trades.csv"
-        if not path.exists():
-            cmd_synth(run)
-    else:
-        path = Path(src)
+    path = _output(run, "synth", "trades.csv", cmd_synth) if src is None else Path(src)
     with open(path, newline="", encoding="utf-8") as fh:
         trades, rejected = market.parse_trades(fh, run.tz)
     for r in rejected:
@@ -238,11 +268,10 @@ def _load_trades(run: Run) -> List[market.Trade]:
 def cmd_extract(run: Run) -> Path:
     trades = _load_trades(run)
     samples, report = market.build_samples(trades, run.spec, run.start, run.end)
-    out_dir = run.dir("features")
-    out = out_dir / "features.csv"
+    out = run.dir("features") / "features.csv"
     with open(out, "w", newline="", encoding="utf-8") as fh:
-        market.write_samples_csv(samples, fh, extra=run.meta())
-    run.write_json(out_dir / "drop_report.json", {
+        market.write_samples_csv(samples, fh, extra=run.meta("features"))
+    run.write_json("features", "drop_report.json", {
         "n_products": report.n_products,
         "n_built": report.n_built,
         "n_discarded_features": report.n_discarded_features,
@@ -255,9 +284,7 @@ def cmd_extract(run: Run) -> Path:
 
 
 def _load_samples(run: Run) -> List[market.Sample]:
-    path = run.dir("features") / "features.csv"
-    if not path.exists():
-        cmd_extract(run)
+    path = _output(run, "features", "features.csv", cmd_extract)
     with open(path, newline="", encoding="utf-8") as fh:
         return market.read_samples_csv(fh)
 
@@ -267,7 +294,6 @@ def _split(run: Run) -> market.DatasetSplit:
 
 
 def _domain(run: Run, name: str, dom_cfg: dict):
-    from .transfer import domain_from_split
     if dom_cfg.get("trades_csv"):
         with open(dom_cfg["trades_csv"], newline="", encoding="utf-8") as fh:
             trades, _ = market.parse_trades(fh, run.tz)
@@ -280,18 +306,15 @@ def _domain(run: Run, name: str, dom_cfg: dict):
 
 
 def cmd_select(run: Run) -> Path:
-    split = _split(run)
-    from .transfer import domain_from_split
-    domain = domain_from_split("main", split)
+    domain = domain_from_split("main", _split(run))
     sel = ensure_selection(domain, run.quantiles, run.alpha_grid, run.solver_cfg)
     if not sel.union:
         print("selection is empty: every coefficient fell below the zero "
               "threshold at the tuned penalty", file=sys.stderr)
         raise SystemExit(1)
-    out_dir = run.dir("selection")
     payload = sel.to_dict()
     payload["breakdown"] = importance_breakdown(sel).to_dict()
-    run.write_json(out_dir / "selection.json", payload)
+    out = run.write_json("selection", "selection.json", payload)
 
     k = int(run.cfg["selector"]["top_k"])
     rows = []
@@ -300,21 +323,18 @@ def cmd_select(run: Run) -> Path:
         for rank, name in enumerate(names, start=1):
             rows.append([run.cfg["market"], run.cfg["product_type"], tau, rank,
                          name, repr(sel.per_tau_coef[tau][name])])
-    run.write_csv(out_dir / "top_features.csv",
+    run.write_csv("selection", "top_features.csv",
                   ["market", "product_type", "quantile", "rank", "feature",
                    "coefficient"], rows)
-    log.info("selected %d features (union) to %s", len(sel.union), out_dir)
-    return out_dir / "selection.json"
+    log.info("selected %d features (union) to %s", len(sel.union), out.parent)
+    return out
 
 
 def _feature_set(run: Run) -> List[str]:
     choice = run.cfg["model"]["feature_set"]
     if choice in NAIVE_FEATURE_SETS:
         return list(NAIVE_FEATURE_SETS[choice])
-    path = run.dir("selection") / "selection.json"
-    if not path.exists():
-        cmd_select(run)
-    sel = json.loads(path.read_text())
+    sel = json.loads(_output(run, "selection", "selection.json", cmd_select).read_text())
     if choice == "full":
         return list(sel["union"])
     names: List[str] = []
@@ -360,7 +380,7 @@ def cmd_train(run: Run) -> Path:
         result = results[seed]
         save_checkpoint(out_dir / f"{family}_seed{seed}.npz", result.model,
                         prep=result.prep,
-                        extra_meta={"config_hash": run.hash,
+                        extra_meta={"config_hash": run.keys["models"],
                                     "best_trial": result.best_trial.trial_id})
         with open(out_dir / f"trials_seed{seed}.jsonl", "w", encoding="utf-8") as fh:
             write_trials_jsonl(result.trials, fh)
@@ -370,7 +390,7 @@ def cmd_train(run: Run) -> Path:
 
 def cmd_evaluate(run: Run) -> Path:
     family = run.cfg["model"]["family"]
-    model_dir = run.workspace / "models" / run.hash
+    model_dir = run.workspace / "models" / run.keys["models"]
     paths = [(seed, model_dir / f"{family}_seed{seed}.npz") for seed in run.cfg["seeds"]]
     for _, path in paths:
         if not path.exists():
@@ -381,15 +401,13 @@ def cmd_evaluate(run: Run) -> Path:
     for seed, path in paths:
         model, prep = load_checkpoint(path)
         X_te, y_te = design_matrix(split.test, prep["feature_names"])
-        X_te = (X_te - prep["mean"]) / prep["scale"]
-        report = evaluate(y_te, model.predict(X_te), run.quantiles)
+        report = evaluate(y_te, model.predict(apply_prep(X_te, prep)), run.quantiles)
         reports.append(report)
         per_seed[str(seed)] = report.to_dict()
     summary = summarize_runs(reports)
-    out_dir = run.dir("metrics")
-    run.write_json(out_dir / "metrics.json",
-                   {"family": family, "per_seed": per_seed, "summary": summary})
-    run.write_csv(out_dir / "metrics.csv",
+    out = run.write_json("metrics", "metrics.json",
+                         {"family": family, "per_seed": per_seed, "summary": summary})
+    run.write_csv("metrics", "metrics.csv",
                   ["family", "AQL", "AQCR", "RMSE", "MAE", "R2"],
                   [[family,
                     format_mean_std(**summary["aql"]),
@@ -397,32 +415,30 @@ def cmd_evaluate(run: Run) -> Path:
                     format_mean_std(**summary["rmse"]),
                     format_mean_std(**summary["mae"]),
                     format_mean_std(**summary["r2"])]])
-    log.info("metrics for %s written to %s", family, out_dir)
-    return out_dir / "metrics.json"
+    log.info("metrics for %s written to %s", family, out.parent)
+    return out
 
 
 def cmd_transfer(run: Run) -> Path:
     tcfg = run.cfg["transfer"]
     dom_a = _domain(run, tcfg["domain_a"].get("name", "A"), tcfg["domain_a"])
     dom_b = _domain(run, tcfg["domain_b"].get("name", "B"), tcfg["domain_b"])
-    seeds = [int(s) for s in tcfg["seeds"]]
-    family = tcfg["model_family"]
-    budget = int(tcfg["budget"])
-    base_config = tcfg["model_config"] or {}
 
-    feature_mode = tcfg.get("feature_mode", "union")
-    pair = run_pair(dom_a, dom_b, family, budget, seeds, run.quantiles,
-                    strategies=tuple(tcfg["strategies"]),
-                    base_config=base_config,
-                    alpha_grid=run.alpha_grid, solver_cfg=run.solver_cfg,
-                    feature_mode=feature_mode)
-    points = asymmetry_sweep([(dom_a, dom_b), (dom_b, dom_a)], family, budget,
-                             seeds, run.quantiles, base_config=base_config,
-                             alpha_grid=run.alpha_grid, solver_cfg=run.solver_cfg,
-                             feature_mode=feature_mode)
+    def pair_run(A, B, strategies):
+        return run_pair(A, B, tcfg["model_family"], int(tcfg["budget"]),
+                        [int(s) for s in tcfg["seeds"]], run.quantiles,
+                        strategies=strategies,
+                        base_config=tcfg["model_config"] or {},
+                        alpha_grid=run.alpha_grid, solver_cfg=run.solver_cfg,
+                        feature_mode=tcfg.get("feature_mode", "union"))
 
-    out_dir = run.dir("transfer")
-    run.write_json(out_dir / "reports.json", {
+    # the (C, L) scatter reads each direction's B->A point from a pair run,
+    # reusing the configured run when it already holds the forward one
+    pair = pair_run(dom_a, dom_b, tuple(tcfg["strategies"]))
+    forward = pair if "B->A" in pair.loss_ratio else pair_run(dom_a, dom_b, ("B->A",))
+    points = [sweep_point(forward), sweep_point(pair_run(dom_b, dom_a, ("B->A",)))]
+
+    out = run.write_json("transfer", "reports.json", {
         "target": pair.target,
         "source": pair.source,
         "trade_count_ratio": pair.trade_count_ratio,
@@ -430,7 +446,7 @@ def cmd_transfer(run: Run) -> Path:
         "summary": pair.summary,
         "runs": {s: [r.to_dict() for r in rs] for s, rs in pair.reports.items()},
     })
-    run.write_csv(out_dir / "table.csv",
+    run.write_csv("transfer", "table.csv",
                   ["strategy", "AQL", "AQCR", "RMSE", "MAE", "R2", "loss_ratio"],
                   [[s,
                     format_mean_std(**pair.summary[s]["aql"]),
@@ -440,12 +456,12 @@ def cmd_transfer(run: Run) -> Path:
                     format_mean_std(**pair.summary[s]["r2"]),
                     repr(pair.loss_ratio[s])]
                    for s in pair.summary])
-    run.write_csv(out_dir / "scatter.csv",
+    run.write_csv("transfer", "scatter.csv",
                   ["target", "source", "trade_count_ratio", "loss_ratio"],
                   [[p["target"], p["source"], repr(p["trade_count_ratio"]),
                     repr(p["loss_ratio"])] for p in points])
-    log.info("transfer reports written to %s", out_dir)
-    return out_dir / "reports.json"
+    log.info("transfer reports written to %s", out.parent)
+    return out
 
 
 COMMANDS = {

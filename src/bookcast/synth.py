@@ -6,15 +6,14 @@ toward delivery as (time-to-delivery)^(-arrival_ramp); buy trades print
 above the latent price and sells below by a uniform half-spread; volumes
 are lognormal. Each product draws from its own generator derived from
 (seed, product index), so generation is order-independent and bit
-reproducible. The latent path is retained for oracle checks only and is
-never exposed to models.
+reproducible. The latent path never leaves the generator.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -53,7 +52,6 @@ class SynthConfig:
 @dataclass
 class SynthDataset:
     trades: List[Trade]
-    latent_paths: Dict[int, Tuple[np.ndarray, np.ndarray]]  # t_d us -> (exec us, latent)
     config: SynthConfig
     spec: ProductSpec
     horizon: Tuple[dt.datetime, dt.datetime]
@@ -81,13 +79,11 @@ def generate(cfg: SynthConfig, spec: ProductSpec, start: dt.datetime,
         raise ValueError("session_hours must exceed the gate-closure offset")
 
     rows = []  # (exec_us, product_us, within_idx, side, price, volume)
-    latent_paths: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     for pi, t_d in enumerate(enumerate_products(spec, start, end)):
         rng = rng_for(cfg.seed, pi)
         t_d_us = to_micros(t_d)
         n = int(rng.poisson(cfg.liquidity * duration_h))
         if n == 0:
-            latent_paths[t_d_us] = (np.empty(0, dtype=np.int64), np.empty(0))
             continue
         offsets_h = np.sort(_arrival_offsets(rng, n, gate_h, cfg.session_hours,
                                              cfg.arrival_ramp))[::-1]
@@ -105,7 +101,6 @@ def generate(cfg: SynthConfig, spec: ProductSpec, start: dt.datetime,
         prices = latent + np.where(is_buy, spread, -spread)
         volumes = rng.lognormal(cfg.volume_log_mean, cfg.volume_log_sd, n)
 
-        latent_paths[t_d_us] = (exec_us.copy(), latent.copy())
         for wi in range(n):
             rows.append((int(exec_us[wi]), pi, wi,
                          BUY if is_buy[wi] else SELL,
@@ -117,8 +112,7 @@ def generate(cfg: SynthConfig, spec: ProductSpec, start: dt.datetime,
                     side=r[3], exec_time=from_micros(r[0]),
                     price=r[4], volume=r[5], seq=seq)
               for seq, r in enumerate(rows)]
-    return SynthDataset(trades=trades, latent_paths=latent_paths, config=cfg,
-                        spec=spec, horizon=(start, end))
+    return SynthDataset(trades=trades, config=cfg, spec=spec, horizon=(start, end))
 
 
 def build_domain(name: str, cfg: SynthConfig, spec: ProductSpec,

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .experiment import column_indices, design_matrix, run_experiment
+from .experiment import design_matrix, run_experiment
 from .features import FEATURE_NAMES
 from .market import DatasetSplit, supervised
 from .metrics import MetricReport, summarize_runs
@@ -61,12 +61,10 @@ def trade_count_ratio(target: Domain, source: Domain) -> float:
 
 def ensure_selection(domain: Domain, quantiles,
                      alpha_grid: Optional[Sequence[float]] = None,
-                     solver_cfg: Optional[SolverConfig] = None,
-                     feature_names: Optional[Sequence[str]] = None) -> SelectionResult:
+                     solver_cfg: Optional[SolverConfig] = None) -> SelectionResult:
     """Fit the domain's sparse feature selection once (train/val only)."""
     if domain.selection is not None:
         return domain.selection
-    names = tuple(feature_names or FEATURE_NAMES)
     X_tr, y_tr = design_matrix(domain.split.train)
     X_val, y_val = design_matrix(domain.split.val)
     X_tr_s, (X_val_s,), _, _, _ = standardize(X_tr, X_val)
@@ -75,7 +73,7 @@ def ensure_selection(domain: Domain, quantiles,
         best_alpha, tau_fits = tune_alpha((X_tr_s, y_tr), (X_val_s, y_val), tau,
                                           alpha_grid, solver_cfg)
         fits[tau] = tau_fits[best_alpha]
-    domain.selection = select_features(fits, names)
+    domain.selection = select_features(fits, FEATURE_NAMES)
     return domain.selection
 
 
@@ -129,62 +127,39 @@ def run_strategy(strategy: str, A: Domain, B: Domain, family: str,
                  feature_mode: str = "union") -> TransferReport:
     """One (strategy, seed) experiment testing on A's test split.
 
+    The strategy names its source domains: {A}, {B} or {A, B}. The features
+    are the union of the sources' feature sets, and the model trains and
+    tunes on the sources' stacked train and validation rows.
+
     ``baseline_aql`` supplies AQL(A->A) for the loss ratio; when omitted for
     a non-baseline strategy, the ratio is left unset. The A->A strategy has
     loss ratio 1 by construction.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
-    X_te_full, y_te = design_matrix(A.split.test)
+    sources = {"A->A": (A,), "B->A": (B,), "A+B->A": (A, B)}[strategy]
+    chosen = set()
+    for dom in sources:
+        ensure_selection(dom, quantiles, alpha_grid, solver_cfg)
+        chosen.update(domain_feature_set(dom, feature_mode))
+    names = [n for n in FEATURE_NAMES if n in chosen]
 
+    def stacked(part: str):
+        parts = [design_matrix(getattr(dom.split, part), names) for dom in sources]
+        return (np.vstack([X for X, _ in parts]),
+                np.concatenate([y for _, y in parts]))
+
+    result = run_experiment(names, stacked("train"), stacked("val"),
+                            design_matrix(A.split.test, names),
+                            family, budget, seed, quantiles, space, base_config)
     if strategy == "A->A":
-        ensure_selection(A, quantiles, alpha_grid, solver_cfg)
-        names = domain_feature_set(A, feature_mode)
-        result = run_experiment(
-            names,
-            design_matrix(A.split.train, names),
-            design_matrix(A.split.val, names),
-            (X_te_full[:, _cols(names)], y_te),
-            family, budget, seed, quantiles, space, base_config)
         ratio = 1.0
-        source = A.name
-    elif strategy == "B->A":
-        ensure_selection(B, quantiles, alpha_grid, solver_cfg)
-        names = domain_feature_set(B, feature_mode)
-        result = run_experiment(
-            names,
-            design_matrix(B.split.train, names),
-            design_matrix(B.split.val, names),
-            (X_te_full[:, _cols(names)], y_te),
-            family, budget, seed, quantiles, space, base_config)
+    else:
         ratio = (result.report.aql / baseline_aql) if baseline_aql else None
-        source = B.name
-    else:  # A+B->A
-        ensure_selection(A, quantiles, alpha_grid, solver_cfg)
-        ensure_selection(B, quantiles, alpha_grid, solver_cfg)
-        union = (set(domain_feature_set(A, feature_mode))
-                 | set(domain_feature_set(B, feature_mode)))
-        names = [n for n in FEATURE_NAMES if n in union]
-        Xa_tr, ya_tr = design_matrix(A.split.train, names)
-        Xb_tr, yb_tr = design_matrix(B.split.train, names)
-        Xa_val, ya_val = design_matrix(A.split.val, names)
-        Xb_val, yb_val = design_matrix(B.split.val, names)
-        result = run_experiment(
-            names,
-            (np.vstack([Xa_tr, Xb_tr]), np.concatenate([ya_tr, yb_tr])),
-            (np.vstack([Xa_val, Xb_val]), np.concatenate([ya_val, yb_val])),
-            (X_te_full[:, _cols(names)], y_te),
-            family, budget, seed, quantiles, space, base_config)
-        ratio = (result.report.aql / baseline_aql) if baseline_aql else None
-        source = f"{A.name}+{B.name}"
-
-    return TransferReport(strategy=strategy, target=A.name, source=source,
+    return TransferReport(strategy=strategy, target=A.name,
+                          source="+".join(dom.name for dom in sources),
                           seed=seed, metrics=result.report, loss_ratio=ratio,
                           trade_count_ratio=trade_count_ratio(A, B))
-
-
-def _cols(names: Sequence[str]) -> np.ndarray:
-    return column_indices(names)
 
 
 @dataclass
@@ -231,6 +206,16 @@ def run_pair(A: Domain, B: Domain, family: str, budget: int,
     return result
 
 
+def sweep_point(pair: PairResult) -> dict:
+    """The (C, L) point of a pair's B->A strategy, for plotting."""
+    return {
+        "target": pair.target,
+        "source": pair.source,
+        "trade_count_ratio": pair.trade_count_ratio,
+        "loss_ratio": pair.loss_ratio["B->A"],
+    }
+
+
 def asymmetry_sweep(pairs: Sequence[Tuple[Domain, Domain]], family: str,
                     budget: int, seeds: Sequence[int], quantiles,
                     space: Optional[SearchSpace] = None,
@@ -240,29 +225,13 @@ def asymmetry_sweep(pairs: Sequence[Tuple[Domain, Domain]], family: str,
                     feature_mode: str = "union") -> List[dict]:
     """(C, L) points for each ordered (target, source) pair, for plotting.
 
-    Baselines are computed once per distinct target domain.
+    Each pair is one B->A ``run_pair`` with its own A->A baseline, so pairs
+    that share a target each run that baseline.
     """
     if len(pairs) < 2:
         raise ValueError("asymmetry sweep needs at least two ordered pairs")
-    baseline_mean: Dict[str, float] = {}
-    points = []
-    for A, B in pairs:
-        if A.name not in baseline_mean:
-            runs = [run_strategy("A->A", A, B, family, budget, seed, quantiles,
-                                 space, base_config, alpha_grid, solver_cfg,
-                                 feature_mode=feature_mode)
-                    for seed in seeds]
-            baseline_mean[A.name] = float(np.mean([r.metrics.aql for r in runs]))
-        transfers = [run_strategy("B->A", A, B, family, budget, seed, quantiles,
-                                  space, base_config, alpha_grid, solver_cfg,
-                                  baseline_aql=baseline_mean[A.name],
-                                  feature_mode=feature_mode)
-                     for seed in seeds]
-        mean_aql = float(np.mean([r.metrics.aql for r in transfers]))
-        points.append({
-            "target": A.name,
-            "source": B.name,
-            "trade_count_ratio": trade_count_ratio(A, B),
-            "loss_ratio": mean_aql / baseline_mean[A.name],
-        })
-    return points
+    return [sweep_point(run_pair(A, B, family, budget, seeds, quantiles,
+                                 strategies=("B->A",), space=space,
+                                 base_config=base_config, alpha_grid=alpha_grid,
+                                 solver_cfg=solver_cfg, feature_mode=feature_mode))
+            for A, B in pairs]

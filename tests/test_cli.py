@@ -5,8 +5,8 @@ import sys
 import pytest
 import yaml
 
-from bookcast import market
-from bookcast.cli import main
+from bookcast import market, transfer
+from bookcast.cli import DEFAULT_CONFIG, STAGE_FIELDS, Run, load_config, main
 from bookcast.features import FEATURE_NAMES
 
 BASE_CFG = {
@@ -212,5 +212,86 @@ def test_train_parallel_jobs_matches_sequential(tmp_path):
     assert run_cli("evaluate", "--config", str(cfg2)) == 0
     seq = json.loads((_hash_dir(tmp_path / "seq" / "ws", "metrics") / "metrics.json").read_text())
     par = json.loads((_hash_dir(tmp_path / "par" / "ws", "metrics") / "metrics.json").read_text())
-    # jobs is part of the config hash but not of the experiment outcome
+    # jobs keys no workspace area and does not change the experiment outcome
     assert seq["per_seed"] == par["per_seed"]
+
+
+def test_removed_zero_threshold_exits_2(tmp_path, capsys):
+    # selection always uses selection.ZERO_THRESHOLD; the field is not a knob
+    cfg = write_cfg(tmp_path, selector={"zero_threshold": 1e-6})
+    assert run_cli("select", "--config", str(cfg)) == 2
+    assert "selector.zero_threshold" in capsys.readouterr().err
+
+
+def _counting(calls, name, fn):
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+def test_model_setting_reuses_upstream_areas(tmp_path, monkeypatch):
+    calls = {"build_samples": 0, "tune_alpha": 0}
+    monkeypatch.setattr(market, "build_samples",
+                        _counting(calls, "build_samples", market.build_samples))
+    # selection runs tune_alpha through the name transfer imported
+    monkeypatch.setattr(transfer, "tune_alpha",
+                        _counting(calls, "tune_alpha", transfer.tune_alpha))
+    ws = tmp_path / "ws"
+    cfg = write_cfg(tmp_path, model={"feature_set": "full", "search_budget": 2})
+    assert run_cli("train", "--config", str(cfg)) == 0
+    assert calls["build_samples"] == 1 and calls["tune_alpha"] > 0
+    first = dict(calls)
+    cfg = write_cfg(tmp_path, model={"feature_set": "full", "search_budget": 3})
+    assert run_cli("train", "--config", str(cfg)) == 0
+    assert calls == first
+    for area in ("synth", "features", "selection"):
+        _hash_dir(ws, area)
+    assert len(list((ws / "models").iterdir())) == 2
+
+
+def test_stage_fields_cover_the_config():
+    # a config field outside every key would let a changed input reuse
+    # stale outputs
+    keyed = set().union(*STAGE_FIELDS.values())
+    assert keyed == set(DEFAULT_CONFIG) - {"workspace", "jobs"}
+    upstream = {"features": "synth", "selection": "features",
+                "models": "selection", "metrics": "models",
+                "transfer": "selection"}
+    assert set(STAGE_FIELDS) == set(upstream) | {"synth"}
+    for area, up in upstream.items():
+        assert set(STAGE_FIELDS[up]) <= set(STAGE_FIELDS[area]), area
+
+
+def _keys(tmp_path, overrides=None, **extra):
+    return Run(load_config(str(write_cfg(tmp_path, **extra)), overrides or {})).keys
+
+
+def test_stage_keys_follow_their_fields(tmp_path):
+    base = _keys(tmp_path)
+    moved = _keys(tmp_path, selector={"top_k": 3})
+    assert {a for a in base if moved[a] != base[a]} == {
+        "selection", "models", "metrics", "transfer"}
+    assert _keys(tmp_path, {"workspace": str(tmp_path / "other"), "jobs": 2}) == base
+
+
+def test_transfer_runs_each_strategy_once(tmp_path, monkeypatch):
+    calls = []
+    run_strategy = transfer.run_strategy
+
+    def counting(strategy, A, B, *args, **kwargs):
+        calls.append((strategy, A.name))
+        return run_strategy(strategy, A, B, *args, **kwargs)
+
+    monkeypatch.setattr(transfer, "run_strategy", counting)
+    cfg = write_cfg(
+        tmp_path,
+        transfer={"model_family": "qknn", "budget": 2, "seeds": [0],
+                  "domain_a": {"name": "A", "synth": {"liquidity": 10.0}},
+                  "domain_b": {"name": "B", "synth": {"liquidity": 25.0}}},
+        selector={"alpha_grid_size": 4, "max_iter": 200, "stages": 2},
+    )
+    assert run_cli("transfer", "--config", str(cfg)) == 0
+    # the configured pair, then the reverse direction's baseline and transfer
+    assert calls == [("A->A", "A"), ("B->A", "A"), ("A+B->A", "A"),
+                     ("A->A", "B"), ("B->A", "B")]

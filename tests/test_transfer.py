@@ -3,7 +3,8 @@ import dataclasses
 import pytest
 
 from bookcast.transfer import (Domain, asymmetry_sweep, ensure_selection,
-                               run_pair, run_strategy, trade_count_ratio)
+                               run_pair, run_strategy, sweep_point,
+                               trade_count_ratio)
 from helpers import FAST_SOLVER, SMALL_GRID, tiny_domain
 
 Q3 = (0.1, 0.5, 0.9)
@@ -97,6 +98,16 @@ def test_asymmetry_sweep_points(dom_a, dom_b):
     assert all(p["loss_ratio"] > 0 for p in points)
     with pytest.raises(ValueError):
         asymmetry_sweep([(dom_a, dom_b)], "qknn", 2, [0], Q3)
+
+
+def test_sweep_point_reproduces_asymmetry_sweep(dom_a, dom_b):
+    kw = dict(alpha_grid=SMALL_GRID, solver_cfg=FAST_SOLVER)
+    points = asymmetry_sweep([(dom_a, dom_b), (dom_b, dom_a)], "qknn", 2,
+                             [0, 1], Q3, **kw)
+    forward = run_pair(dom_a, dom_b, "qknn", 2, [0, 1], Q3, **kw)
+    backward = run_pair(dom_b, dom_a, "qknn", 2, [0, 1], Q3,
+                        strategies=("B->A",), **kw)
+    assert [sweep_point(forward), sweep_point(backward)] == points
 
 
 def _poison_test_targets(domain: Domain, offset: float) -> Domain:
