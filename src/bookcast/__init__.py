@@ -4,7 +4,7 @@ continuous intraday markets."""
 
 from ._version import __version__
 from .features import FEATURE_NAMES, extract_features, feature_name
-from .market import (ProductSpec, Sample, SplitBoundaries, Trade,
+from .market import (ProductSpec, Sample, SplitBoundaries, Trade, TradeTable,
                      build_samples, enumerate_products, parse_trades,
                      split_dataset)
 from .metrics import MetricReport, aql, aqcr, evaluate, mae, pinball, r2, rmse
@@ -25,6 +25,7 @@ __all__ = [
     "SplitBoundaries",
     "SynthConfig",
     "Trade",
+    "TradeTable",
     "__version__",
     "aql",
     "aqcr",

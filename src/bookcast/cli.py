@@ -38,9 +38,9 @@ from .models import load_checkpoint, save_checkpoint
 from .search import write_trials_jsonl
 from .selection import (SolverConfig, default_alpha_grid, importance_breakdown,
                         top_k)
-from .transfer import (STRATEGIES, domain_from_split, ensure_selection, run_pair,
-                       sweep_point)
-from .util import UTC, config_hash, parse_timestamp
+from .transfer import (STRATEGIES, check_strategies, domain_from_split,
+                       ensure_selection, run_pair, sweep_point)
+from .util import UTC, config_hash, file_sha256, parse_timestamp
 
 log = logging.getLogger("bookcast")
 
@@ -156,6 +156,10 @@ def _validate(cfg: dict) -> None:
         ProductSpec(market=cfg["market"], product_type=cfg["product_type"])
     except ValueError as exc:
         raise ConfigError(f"fields 'market'/'product_type': {exc}") from None
+    try:
+        check_strategies(cfg["transfer"]["strategies"])
+    except ValueError as exc:
+        raise ConfigError(f"field 'transfer.strategies': {exc}") from None
 
 
 # The config fields each workspace area's outputs depend on; each area keeps
@@ -185,7 +189,12 @@ class Run:
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
-        self.keys = {area: config_hash({f: cfg[f] for f in fields})
+        keyed = dict(cfg)
+        if cfg["trades_csv"] is not None:
+            # a file replaced at the same path must not reuse stale features
+            keyed["trades_csv"] = {"path": cfg["trades_csv"],
+                                   "sha256": file_sha256(cfg["trades_csv"])}
+        self.keys = {area: config_hash({f: keyed[f] for f in fields})
                      for area, fields in STAGE_FIELDS.items()}
         self.tz = _tz(cfg["tz"])
         self.workspace = Path(cfg["workspace"])
@@ -255,7 +264,7 @@ def cmd_synth(run: Run) -> Path:
     return out
 
 
-def _load_trades(run: Run) -> List[market.Trade]:
+def _load_trades(run: Run) -> market.TradeTable:
     src = run.cfg["trades_csv"]
     path = _output(run, "synth", "trades.csv", cmd_synth) if src is None else Path(src)
     with open(path, newline="", encoding="utf-8") as fh:

@@ -6,14 +6,15 @@ vector (32 x 2 sides x 6 windows). Windows are left-open, right-closed
 (t_f - w, t_f]; the unbounded window covers all history up to t_f. An
 empty window borrows the statistics of the smallest strictly longer
 non-empty window; a sample whose unbounded window is empty on either side
-is discarded.
+is discarded. One kernel, ``side_window_stats``, computes all six windows
+of a side; ``extract_features`` and sample assembly both go through it.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -125,102 +126,20 @@ for _family, _is_pctl in FAMILIES:
 N_STATS = len(_SUBVEC)
 
 _NAME_POS = {n: i for i, n in enumerate(FEATURE_NAMES)}
-_SCATTER: Dict[Tuple[str, str], np.ndarray] = {}
-for _side in SIDE_LABELS:
-    for _label in WINDOW_LABELS:
-        idx = []
-        for _family, _p in _SUBVEC:
-            suffix = f"|{_p}" if _p is not None else ""
-            idx.append(_NAME_POS[f"{_family}|{_side}|{_label}{suffix}"])
-        _SCATTER[(_side, _label)] = np.array(idx, dtype=np.intp)
-
-
-@dataclass(frozen=True)
-class SideWindowStats:
-    price_pctl: Tuple[float, ...]
-    min_price: float
-    max_price: float
-    first_price: float
-    last_price: float
-    mean_price: float
-    price_vol: float
-    delta_price: float
-    volume_pctl: Tuple[float, ...]
-    min_volume: float
-    max_volume: float
-    first_volume: float
-    last_volume: float
-    mean_volume: float
-    volume_vol: float
-    delta_volume: float
-    sum_volume: float
-    trade_count: int
-    vwap: float
-    momentum: float
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([
-            np.asarray(self.price_pctl, dtype=float),
-            [self.min_price, self.max_price, self.first_price, self.last_price,
-             self.mean_price, self.price_vol, self.delta_price],
-            np.asarray(self.volume_pctl, dtype=float),
-            [self.min_volume, self.max_volume, self.first_volume, self.last_volume,
-             self.mean_volume, self.volume_vol, self.delta_volume,
-             self.sum_volume, float(self.trade_count), self.vwap, self.momentum],
-        ])
-
-
-def _stats_from_arrays(prices: np.ndarray, volumes: np.ndarray) -> SideWindowStats:
-    n = prices.size
-    levels = np.array(PERCENTILES, dtype=float) / 100.0
-    # centered weighted mean: exact for constant prices, well conditioned
-    # for price levels far from zero
-    p0 = float(prices[0])
-    vwap = p0 + float(np.dot(prices - p0, volumes) / np.sum(volumes))
-    last_p = float(prices[-1])
-    momentum = 0.0 if abs(vwap) < VWAP_EPS else (last_p - vwap) / vwap
-    return SideWindowStats(
-        price_pctl=tuple(float(v) for v in np.quantile(prices, levels)),
-        min_price=float(prices.min()),
-        max_price=float(prices.max()),
-        first_price=float(prices[0]),
-        last_price=last_p,
-        mean_price=float(prices.mean()),
-        price_vol=float(np.std(prices)),
-        delta_price=float(prices[-1] - prices[0]),
-        volume_pctl=tuple(float(v) for v in np.quantile(volumes, levels)),
-        min_volume=float(volumes.min()),
-        max_volume=float(volumes.max()),
-        first_volume=float(volumes[0]),
-        last_volume=float(volumes[-1]),
-        mean_volume=float(volumes.mean()),
-        volume_vol=float(np.std(volumes)),
-        delta_volume=float(volumes[-1] - volumes[0]),
-        sum_volume=float(volumes.sum()),
-        trade_count=int(n),
-        vwap=vwap,
-        momentum=float(momentum),
-    )
-
-
-def compute_stats(window: Sequence) -> SideWindowStats:
-    """All 32 statistics of one side's trades in one window.
-
-    Percentiles use linear interpolation between order statistics;
-    volatility uses population (1/n) normalization; first/last follow
-    (exec_time, seq) order. The window must be non-empty.
-    """
-    if not window:
-        raise ValueError("compute_stats requires a non-empty window")
-    ordered = sorted(window, key=lambda t: (to_micros(t.exec_time), t.seq))
-    prices = np.array([t.price for t in ordered], dtype=float)
-    volumes = np.array([t.volume for t in ordered], dtype=float)
-    return _stats_from_arrays(prices, volumes)
+# (window, statistic) -> position in the feature vector, per side
+_SIDE_POS: Dict[str, np.ndarray] = {
+    side: np.array([[_NAME_POS[f"{family}|{side}|{label}" + ("" if p is None else f"|{p}")]
+                     for family, p in _SUBVEC] for label in WINDOW_LABELS], dtype=np.intp)
+    for side in SIDE_LABELS
+}
+_LEVELS = np.array(PERCENTILES, dtype=float) / 100.0
+_BOUNDED_US = np.array([int(w * 60_000_000) for w in WINDOW_MINUTES[:-1]], dtype=np.int64)
 
 
 def window_trades(trades_side: Sequence, t_f: dt.datetime, window) -> list:
     """Trades of one side with exec_time in (t_f - window, t_f]; the
-    unbounded window keeps everything up to t_f."""
+    unbounded window keeps everything up to t_f. A per-trade reference for
+    the window bounds; the kernel finds windows with ``searchsorted``."""
     t_f_us = to_micros(t_f)
     label = _window_label(window)
     if label == "inf":
@@ -229,54 +148,113 @@ def window_trades(trades_side: Sequence, t_f: dt.datetime, window) -> list:
     return [t for t in trades_side if lo < to_micros(t.exec_time) <= t_f_us]
 
 
-def _side_window_stats(times_us: np.ndarray, prices: np.ndarray,
-                       volumes: np.ndarray, t_f_us: int) -> Optional[List[SideWindowStats]]:
-    """Stats for every window of one side, with empty-window fallback.
+@functools.lru_cache(maxsize=4096)
+def _lerp_plan(m: int) -> Tuple[np.ndarray, ...]:
+    """numpy's "linear" quantile plan for m sorted values: the neighbour
+    indices of each virtual index (m-1)q, clamped to the last value at the
+    top, the interpolation weight and the mask of its t >= 0.5 branch."""
+    virtual = (m - 1) * _LEVELS
+    below = np.floor(virtual).astype(np.intp)
+    above = below + 1
+    top = virtual >= m - 1
+    below[top] = -1
+    above[top] = -1
+    gamma = virtual - below
+    plan = (below, above, gamma, gamma >= 0.5)
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
 
-    Arrays must be sorted by (exec_time, seq) and truncated to exec <= t_f.
-    Returns None when the side has no history at all.
+
+def _suffix_stats(block: np.ndarray, row: np.ndarray) -> None:
+    """Write the 32 statistics of one window into ``row``.
+
+    ``block`` stacks the window's prices and volumes as a (2, m) array in
+    (exec_time, seq) order. Percentiles reproduce numpy's ``quantile`` with
+    method "linear" bit for bit: virtual index (m-1)q, neighbours clamped at
+    the top, and its two-sided lerp. Mean and std are numpy's row
+    reductions of the time-ordered block.
     """
-    if times_us.size == 0:
-        return None
-    per_window: List[Optional[SideWindowStats]] = []
-    start_indices = []
-    for w in WINDOW_MINUTES:
-        if w == math.inf:
-            start_indices.append(0)
+    m = block.shape[1]
+    srt = np.sort(block, axis=1)
+    below, above, gamma, upper = _lerp_plan(m)
+    lo = srt[:, below]
+    hi = srt[:, above]
+    diff = hi - lo
+    pctl = lo + diff * gamma
+    np.subtract(hi, diff * (1 - gamma), out=pctl, where=upper)
+
+    sums = block.sum(axis=1)
+    means = sums / m
+    dev = block - means[:, None]
+    std = np.sqrt((dev * dev).sum(axis=1) / m)
+    # price and volume rows of the 32: 7 percentiles, min, max, first, last,
+    # mean, volatility, delta
+    cells = row[:28].reshape(2, 14)
+    cells[:, :7] = pctl
+    cells[:, 7] = srt[:, 0]
+    cells[:, 8] = srt[:, -1]
+    cells[:, 9] = block[:, 0]
+    cells[:, 10] = block[:, -1]
+    cells[:, 11] = means
+    cells[:, 12] = std
+    cells[:, 13] = block[:, -1] - block[:, 0]
+
+    prices, volumes = block
+    # centered weighted mean: exact for constant prices, well conditioned
+    # for price levels far from zero
+    p0 = float(prices[0])
+    vwap = p0 + float(np.dot(prices - p0, volumes) / sums[1])
+    last_p = float(prices[-1])
+    momentum = 0.0 if abs(vwap) < VWAP_EPS else (last_p - vwap) / vwap
+    row[28:] = (sums[1], m, vwap, momentum)
+
+
+def side_window_stats(times_us: np.ndarray, prices: np.ndarray, volumes: np.ndarray,
+                      t_f_us: int) -> np.ndarray:
+    """The (6, 32) statistics of one side, a row per window in
+    ``WINDOW_LABELS`` order and the statistics in family order.
+
+    Arrays hold the side's trades at or before t_f, sorted by (exec_time,
+    seq). Nested windows share the right endpoint, so each window is a
+    suffix; each distinct non-empty suffix is computed once, and an empty
+    window copies the row of the next longer window. Percentiles use linear
+    interpolation between order statistics; volatility uses population
+    (1/n) normalization. Raises ValueError when the side has no trades.
+    """
+    n = times_us.size
+    if n == 0:
+        raise ValueError("side_window_stats requires at least one trade")
+    starts = np.searchsorted(times_us, t_f_us - _BOUNDED_US, side="right").tolist()
+    block = np.stack((prices, volumes))
+    out = np.empty((len(WINDOW_LABELS), N_STATS))
+    _suffix_stats(block, out[-1])
+    last = 0
+    for k in range(len(starts) - 1, -1, -1):
+        start = starts[k]
+        if start >= n or start == last:
+            out[k] = out[k + 1]
         else:
-            lo = t_f_us - int(w * 60_000_000)
-            start_indices.append(int(np.searchsorted(times_us, lo, side="right")))
-    for start in start_indices:
-        if start < times_us.size:
-            per_window.append(_stats_from_arrays(prices[start:], volumes[start:]))
-        else:
-            per_window.append(None)
-    # nested windows share the right endpoint, so non-empty ones form a suffix
-    for i in range(len(per_window) - 2, -1, -1):
-        if per_window[i] is None:
-            per_window[i] = per_window[i + 1]
-    return per_window  # type: ignore[return-value]
+            _suffix_stats(block[:, start:], out[k])
+            last = start
+    return out
 
 
 def extract_features(trades: Sequence, t_f: dt.datetime) -> Optional[np.ndarray]:
     """The 384-value feature vector for one product at forecast time t_f,
-    or None when either side has an empty full-history window (discard)."""
-    t_f_us = to_micros(t_f)
-    by_side: Dict[str, list] = {"buy": [], "sell": []}
-    for t in trades:
-        us = to_micros(t.exec_time)
-        if us <= t_f_us:
-            by_side["buy" if t.side == "+" else "sell"].append((us, t.seq, t.price, t.volume))
+    or None when either side has an empty full-history window (discard).
 
+    Takes a ``TradeTable`` or a sequence of ``Trade``.
+    """
+    from .market import TradeTable  # market imports this module
+
+    table = TradeTable.from_trades(trades)
+    t_f_us = to_micros(t_f)
+    past = table[:np.searchsorted(table.exec_us, t_f_us, side="right")]
     vec = np.empty(N_FEATURES, dtype=float)
-    for side in SIDE_LABELS:
-        rows = sorted(by_side[side])
-        times_us = np.array([r[0] for r in rows], dtype=np.int64)
-        prices = np.array([r[2] for r in rows], dtype=float)
-        volumes = np.array([r[3] for r in rows], dtype=float)
-        stats = _side_window_stats(times_us, prices, volumes, t_f_us)
-        if stats is None:
+    for side, mask in (("buy", past.is_buy), ("sell", ~past.is_buy)):
+        if not mask.any():
             return None
-        for label, sw in zip(WINDOW_LABELS, stats):
-            vec[_SCATTER[(side, label)]] = sw.as_array()
+        vec[_SIDE_POS[side]] = side_window_stats(past.exec_us[mask], past.price[mask],
+                                                 past.volume[mask], t_f_us)
     return vec

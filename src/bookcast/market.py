@@ -11,9 +11,12 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import itertools
 import logging
+import math
+from collections import abc
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,11 +43,14 @@ PRODUCT_DURATIONS = {
 
 
 class TradeParseError(ValueError):
-    """Malformed trade CSV content (carries the 1-based line number)."""
+    """Malformed trade CSV content (carries the 1-based line number and,
+    when one field is at fault, its column name)."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, line: int, message: str, field: Optional[str] = None):
+        where = f"line {line}" if field is None else f"line {line}, field {field!r}"
+        super().__init__(f"{where}: {message}")
         self.line = line
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -63,6 +69,86 @@ class Trade:
             raise ValueError("volume must be positive")
         if self.exec_time >= self.product_start:
             raise ValueError("exec_time must precede product_start")
+
+
+@dataclass(frozen=True, eq=False)
+class TradeTable(abc.Sequence):
+    """Trades as numpy columns, one row per trade, sorted by (exec_us, seq).
+
+    Timestamps are integer microseconds since the epoch (UTC). The table is
+    read-only and acts as a sequence of ``Trade`` rows: ``len``, iteration,
+    integer indexing, slicing (a slice is a table of column views) and
+    ``==`` against another table or a sequence of ``Trade``, row by row.
+    """
+    product_us: np.ndarray  # int64 delivery start
+    exec_us: np.ndarray     # int64 execution time
+    is_buy: np.ndarray      # bool, False for the sell side
+    price: np.ndarray       # float64
+    volume: np.ndarray      # float64
+    seq: np.ndarray         # int64 input order, breaks execution-time ties
+
+    def columns(self) -> Tuple[np.ndarray, ...]:
+        return (self.product_us, self.exec_us, self.is_buy, self.price,
+                self.volume, self.seq)
+
+    @classmethod
+    def _of_rows(cls, rows: Sequence[tuple]) -> "TradeTable":
+        """The table of (product_us, exec_us, is_buy, price, volume, seq)
+        tuples, in the order given."""
+        cols = list(zip(*rows)) or [()] * 6
+        return cls(*(np.array(c, dtype=d) for c, d in zip(cols, _COLUMN_DTYPES)))
+
+    @classmethod
+    def _of_trades(cls, trades: Iterable[Trade]) -> "TradeTable":
+        return cls._of_rows([(to_micros(t.product_start), to_micros(t.exec_time),
+                              t.side == BUY, t.price, t.volume, t.seq) for t in trades])
+
+    @classmethod
+    def from_trades(cls, trades: Iterable[Trade]) -> "TradeTable":
+        """The table of ``Trade`` rows, sorted by (exec_time, seq); a table
+        is returned unchanged."""
+        if isinstance(trades, cls):
+            return trades
+        return cls._of_trades(trades)._by_time()
+
+    def _by_time(self) -> "TradeTable":
+        return self.take(np.lexsort((self.seq, self.exec_us)))
+
+    def take(self, index: np.ndarray) -> "TradeTable":
+        """The rows at ``index``, in that order; an increasing index keeps
+        the table sorted."""
+        return TradeTable(*(c[index] for c in self.columns()))
+
+    def __len__(self) -> int:
+        return self.exec_us.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            if (index.step or 1) < 0:
+                raise ValueError("a reversed slice would break the (exec_us, seq) order")
+            return TradeTable(*(c[index] for c in self.columns()))
+        return self._trade(*(c[index].item() for c in self.columns()))
+
+    def __iter__(self) -> Iterator[Trade]:
+        return itertools.starmap(self._trade, zip(*(c.tolist() for c in self.columns())))
+
+    @staticmethod
+    def _trade(product_us, exec_us, is_buy, price, volume, seq) -> Trade:
+        return Trade(from_micros(product_us), BUY if is_buy else SELL,
+                     from_micros(exec_us), price, volume, seq)
+
+    def __eq__(self, other):
+        if isinstance(other, (list, tuple)):
+            if not all(isinstance(t, Trade) for t in other):
+                return False
+            other = TradeTable._of_trades(other)
+        if not isinstance(other, TradeTable):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            np.array_equal(a, b) for a, b in zip(self.columns(), other.columns()))
+
+
+_COLUMN_DTYPES = (np.int64, np.int64, bool, np.float64, np.float64, np.int64)
 
 
 @dataclass(frozen=True)
@@ -135,12 +221,20 @@ class DatasetSplit:
     boundaries: Optional[SplitBoundaries] = None
 
 
-def parse_trades(source, tz: dt.tzinfo = UTC) -> Tuple[List[Trade], List[RejectedRow]]:
+def _parse_field(lineno: int, name: str, parse, raw: str):
+    try:
+        return parse(raw)
+    except (ValueError, OverflowError) as exc:
+        raise TradeParseError(lineno, str(exc), name) from None
+
+
+def parse_trades(source, tz: dt.tzinfo = UTC) -> Tuple[TradeTable, List[RejectedRow]]:
     """Parse the canonical trade CSV.
 
-    Returns trades sorted by (exec_time, seq) with seq assigned in input
-    order, plus the rejected rows (non-positive volume, exec_time at or
-    after delivery). Structurally malformed rows raise TradeParseError.
+    Returns the trades as a table sorted by (exec_time, seq) with seq
+    assigned in input order, plus the rejected rows (non-positive volume,
+    exec_time at or after delivery). Structurally malformed rows raise
+    TradeParseError naming the line and the field.
     """
     if isinstance(source, bytes):
         source = io.StringIO(source.decode("utf-8"))
@@ -154,50 +248,51 @@ def parse_trades(source, tz: dt.tzinfo = UTC) -> Tuple[List[Trade], List[Rejecte
     if [h.strip() for h in header] != TRADE_CSV_HEADER:
         raise TradeParseError(1, f"bad header {header!r}, expected {TRADE_CSV_HEADER}")
 
-    trades: List[Trade] = []
+    def micros(raw: str) -> int:
+        return to_micros(parse_timestamp(raw, tz))
+
+    rows: List[tuple] = []
     rejected: List[RejectedRow] = []
-    seq = 0
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != 5:
             raise TradeParseError(lineno, f"expected 5 fields, got {len(row)}")
         raw_start, raw_side, raw_exec, raw_price, raw_volume = row
-        try:
-            product_start = parse_timestamp(raw_start, tz)
-            exec_time = parse_timestamp(raw_exec, tz)
-            price = float(raw_price)
-            volume = float(raw_volume)
-        except (ValueError, OverflowError) as exc:
-            raise TradeParseError(lineno, str(exc)) from None
+        product_us = _parse_field(lineno, "product_start", micros, raw_start)
         side = raw_side.strip()
         if side not in SIDES:
-            raise TradeParseError(lineno, f"side must be '+' or '-', got {raw_side!r}")
-        if not np.isfinite(price) or not np.isfinite(volume):
-            raise TradeParseError(lineno, "non-finite price or volume")
+            raise TradeParseError(lineno, f"side must be '+' or '-', got {raw_side!r}",
+                                  "side")
+        exec_us = _parse_field(lineno, "exec_time", micros, raw_exec)
+        price = _parse_field(lineno, "price", float, raw_price)
+        volume = _parse_field(lineno, "volume", float, raw_volume)
+        for name, value in (("price", price), ("volume", volume)):
+            if not math.isfinite(value):
+                raise TradeParseError(lineno, f"non-finite value {value!r}", name)
         if volume <= 0:
             rejected.append(RejectedRow(lineno, f"volume {volume} <= 0"))
             continue
-        if exec_time >= product_start:
+        if exec_us >= product_us:
             rejected.append(RejectedRow(lineno, "exec_time at or after product_start"))
             continue
-        trades.append(Trade(product_start, side, exec_time, price, volume, seq))
-        seq += 1
-    trades.sort(key=lambda t: (to_micros(t.exec_time), t.seq))
-    return trades, rejected
+        rows.append((product_us, exec_us, side == BUY, price, volume, len(rows)))
+    return TradeTable._of_rows(rows)._by_time(), rejected
 
 
 def write_trades_csv(trades: Iterable[Trade], fh) -> None:
+    """Write trades in the canonical schema, ordered by (exec_time, seq)."""
+    table = TradeTable.from_trades(trades)
+    starts = {us: format_timestamp(from_micros(us))
+              for us in np.unique(table.product_us).tolist()}
     writer = csv.writer(fh)
     writer.writerow(TRADE_CSV_HEADER)
-    for t in sorted(trades, key=lambda t: (to_micros(t.exec_time), t.seq)):
-        writer.writerow([
-            format_timestamp(t.product_start),
-            t.side,
-            format_timestamp(t.exec_time),
-            repr(t.price),
-            repr(t.volume),
-        ])
+    writer.writerows(
+        [starts[p], BUY if buy else SELL, format_timestamp(from_micros(e)),
+         repr(price), repr(volume)]
+        for p, e, buy, price, volume in zip(
+            table.product_us.tolist(), table.exec_us.tolist(), table.is_buy.tolist(),
+            table.price.tolist(), table.volume.tolist()))
 
 
 def enumerate_products(spec: ProductSpec, start: dt.datetime,
@@ -222,18 +317,22 @@ def build_samples(trades: Sequence[Trade], spec: ProductSpec, start: dt.datetime
     has no history at all are dropped (counted in the report); products
     with an empty target window keep features but carry no target.
     """
-    by_product: Dict[int, List[Trade]] = {}
-    for t in trades:
-        by_product.setdefault(to_micros(t.product_start), []).append(t)
+    table = TradeTable.from_trades(trades)
+    # a stable sort by product keeps each product's rows in (exec, seq) order
+    order = np.argsort(table.product_us, kind="stable")
+    keys = table.product_us[order]
+    deliveries = enumerate_products(spec, start, end)
+    deliveries_us = np.array([to_micros(t) for t in deliveries], dtype=np.int64)
+    lo = np.searchsorted(keys, deliveries_us, side="left").tolist()
+    hi = np.searchsorted(keys, deliveries_us, side="right").tolist()
 
     samples: List[Sample] = []
     n_discarded = 0
     n_discarded_with_target = 0
     n_missing_target = 0
-    deliveries = enumerate_products(spec, start, end)
-    for t_d in deliveries:
+    for t_d, i, j in zip(deliveries, lo, hi):
         t_f = t_d - spec.lead_time
-        prod_trades = by_product.get(to_micros(t_d), [])
+        prod_trades = table.take(order[i:j])
         id3 = compute_id3(prod_trades, t_d, spec.delta_m)
         vec = feat.extract_features(prod_trades, t_f)
         if vec is None:

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .market import (BUY, SELL, BuildReport, ProductSpec, SplitBoundaries,
-                     Trade, build_samples, enumerate_products, split_dataset)
+from .market import (BuildReport, ProductSpec, SplitBoundaries, TradeTable,
+                     build_samples, enumerate_products, split_dataset)
 from .transfer import Domain, domain_from_split
-from .util import from_micros, rng_for, to_micros
+from .util import rng_for, to_micros
 
 HOUR_US = 3_600_000_000
 
@@ -51,7 +51,7 @@ class SynthConfig:
 
 @dataclass
 class SynthDataset:
-    trades: List[Trade]
+    trades: TradeTable
     config: SynthConfig
     spec: ProductSpec
     horizon: Tuple[dt.datetime, dt.datetime]
@@ -78,8 +78,12 @@ def generate(cfg: SynthConfig, spec: ProductSpec, start: dt.datetime,
     if duration_h <= 0:
         raise ValueError("session_hours must exceed the gate-closure offset")
 
-    rows = []  # (exec_us, product_us, within_idx, side, price, volume)
-    for pi, t_d in enumerate(enumerate_products(spec, start, end)):
+    product_starts = enumerate_products(spec, start, end)
+    # per-product chunks of (product_us, index within product, exec_us,
+    # is_buy, price, volume), each column led by an empty chunk of its dtype
+    chunks = [[np.empty(0, dtype=d)] for d in (np.int64, np.int64, np.int64, bool,
+                                                np.float64, np.float64)]
+    for pi, t_d in enumerate(product_starts):
         rng = rng_for(cfg.seed, pi)
         t_d_us = to_micros(t_d)
         n = int(rng.poisson(cfg.liquidity * duration_h))
@@ -101,17 +105,17 @@ def generate(cfg: SynthConfig, spec: ProductSpec, start: dt.datetime,
         prices = latent + np.where(is_buy, spread, -spread)
         volumes = rng.lognormal(cfg.volume_log_mean, cfg.volume_log_sd, n)
 
-        for wi in range(n):
-            rows.append((int(exec_us[wi]), pi, wi,
-                         BUY if is_buy[wi] else SELL,
-                         float(prices[wi]), float(volumes[wi])))
+        for chunk, col in zip(chunks, (np.full(n, t_d_us), np.arange(n), exec_us,
+                                       is_buy, prices, volumes)):
+            chunk.append(col)
 
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    product_starts = enumerate_products(spec, start, end)
-    trades = [Trade(product_start=product_starts[r[1]],
-                    side=r[3], exec_time=from_micros(r[0]),
-                    price=r[4], volume=r[5], seq=seq)
-              for seq, r in enumerate(rows)]
+    product_us, within, exec_us, is_buy, prices, volumes = (
+        np.concatenate(chunk) for chunk in chunks)
+    # product start grows with the product index, so this is the
+    # (exec_time, product, within-product) order seq has always followed
+    order = np.lexsort((within, product_us, exec_us))
+    trades = TradeTable(product_us[order], exec_us[order], is_buy[order], prices[order],
+                        volumes[order], np.arange(exec_us.size, dtype=np.int64))
     return SynthDataset(trades=trades, config=cfg, spec=spec, horizon=(start, end))
 
 

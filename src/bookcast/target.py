@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, TYPE_CHECKING
 
+import numpy as np
+
 from .util import to_micros
 
 if TYPE_CHECKING:
@@ -32,23 +34,22 @@ def compute_id3(trades: Sequence["Trade"], t_d: dt.datetime,
                 delta_m: dt.timedelta) -> Id3Result:
     """VWAP of trades with exec_time in [t_d - 180min, t_d - delta_m], both ends closed.
 
-    Accumulates with compensated summation; windows can hold thousands of trades.
+    Takes a ``TradeTable`` or a sequence of ``Trade``. Accumulates with
+    compensated summation; windows can hold thousands of trades.
     """
-    lo = to_micros(t_d - LEAD_TIME)
-    hi = to_micros(t_d - delta_m)
-    prices = []
-    volumes = []
-    for tr in trades:
-        t = to_micros(tr.exec_time)
-        if lo <= t <= hi:
-            prices.append(tr.price)
-            volumes.append(tr.volume)
-    if not prices:
+    from .market import TradeTable  # market imports this module
+
+    table = TradeTable.from_trades(trades)
+    lo = np.searchsorted(table.exec_us, to_micros(t_d - LEAD_TIME), side="left")
+    hi = np.searchsorted(table.exec_us, to_micros(t_d - delta_m), side="right")
+    prices = table.price[lo:hi]
+    volumes = table.volume[lo:hi]
+    if not prices.size:
         return Id3Result(value=None, trades_used=0, volume_sum=0.0)
-    vol = math.fsum(volumes)
+    vol = math.fsum(volumes.tolist())
     # centered compensated accumulation: exact for constant prices and
     # stable over long windows
-    ref = prices[0]
-    dev = math.fsum((p - ref) * v for p, v in zip(prices, volumes))
-    return Id3Result(value=ref + dev / vol, trades_used=len(prices),
+    ref = float(prices[0])
+    dev = math.fsum(((prices - ref) * volumes).tolist())
+    return Id3Result(value=ref + dev / vol, trades_used=int(prices.size),
                      volume_sum=vol)

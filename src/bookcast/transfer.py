@@ -162,6 +162,15 @@ def run_strategy(strategy: str, A: Domain, B: Domain, family: str,
                           trade_count_ratio=trade_count_ratio(A, B))
 
 
+def check_strategies(strategies: Sequence[str]) -> List[str]:
+    """The named strategies in ``STRATEGIES`` order; raises ValueError
+    naming the first unknown entry."""
+    unknown = [s for s in strategies if s not in STRATEGIES]
+    if unknown:
+        raise ValueError(f"unknown strategy {unknown[0]!r}, expected one of {STRATEGIES}")
+    return [s for s in STRATEGIES if s in strategies]
+
+
 @dataclass
 class PairResult:
     target: str
@@ -182,11 +191,12 @@ def run_pair(A: Domain, B: Domain, family: str, budget: int,
              feature_mode: str = "union") -> PairResult:
     """All strategies over repeated seeds for one (target, source) pair.
 
-    Loss ratios divide mean AQL over seeds by the A->A mean.
+    Loss ratios divide mean AQL over seeds by the A->A mean. An unknown
+    strategy name raises ValueError.
     """
+    ordered = check_strategies(strategies)
     result = PairResult(target=A.name, source=B.name,
                         trade_count_ratio=trade_count_ratio(A, B))
-    ordered = [s for s in STRATEGIES if s in strategies]
     if "A->A" not in ordered:
         ordered = ["A->A"] + ordered  # the baseline anchors every ratio
     for strategy in ordered:

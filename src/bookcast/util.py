@@ -79,6 +79,15 @@ def config_hash(obj) -> str:
     return hashlib.sha256(stable_json_dumps(obj).encode("utf-8")).hexdigest()[:12]
 
 
+def file_sha256(path) -> str:
+    """Hex SHA-256 of a file's bytes, read in chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def rng_for(*keys: int) -> np.random.Generator:
     """Deterministic generator derived from an integer key path."""
     return np.random.default_rng(np.random.SeedSequence(list(keys)))

@@ -72,6 +72,39 @@ def brute_stats(trades):
     return out
 
 
+def numpy_window_stats(prices, volumes):
+    """The 32 statistics of one non-empty window, in the kernel's row order,
+    by per-window numpy calls (np.quantile, mean, std, dot)."""
+    levels = np.array([10, 25, 45, 50, 55, 75, 90], dtype=float) / 100.0
+    p0 = float(prices[0])
+    vwap = p0 + float(np.dot(prices - p0, volumes) / np.sum(volumes))
+    momentum = 0.0 if abs(vwap) < 1e-9 else (float(prices[-1]) - vwap) / vwap
+    return np.concatenate([
+        np.quantile(prices, levels),
+        [prices.min(), prices.max(), prices[0], prices[-1], prices.mean(),
+         np.std(prices), prices[-1] - prices[0]],
+        np.quantile(volumes, levels),
+        [volumes.min(), volumes.max(), volumes[0], volumes[-1], volumes.mean(),
+         np.std(volumes), volumes[-1] - volumes[0], volumes.sum(),
+         float(prices.size), vwap, momentum],
+    ])
+
+
+def numpy_side_windows(times_us, prices, volumes, t_f_us):
+    """One side's (6, 32) window statistics, one numpy_window_stats call per
+    non-empty window; an empty window copies the next longer one."""
+    rows = []
+    for minutes in (1, 5, 15, 60, 180, None):
+        start = 0 if minutes is None else int(np.searchsorted(
+            times_us, t_f_us - minutes * 60_000_000, side="right"))
+        rows.append(numpy_window_stats(prices[start:], volumes[start:])
+                    if start < times_us.size else None)
+    for i in range(len(rows) - 2, -1, -1):
+        if rows[i] is None:
+            rows[i] = rows[i + 1]
+    return np.vstack(rows)
+
+
 def brute_pinball(y, yhat, tau):
     if y >= yhat:
         return tau * (y - yhat)

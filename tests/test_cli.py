@@ -5,9 +5,10 @@ import sys
 import pytest
 import yaml
 
-from bookcast import market, transfer
+from bookcast import market, synth, transfer
 from bookcast.cli import DEFAULT_CONFIG, STAGE_FIELDS, Run, load_config, main
 from bookcast.features import FEATURE_NAMES
+from bookcast.util import parse_timestamp
 
 BASE_CFG = {
     "seed": 0,
@@ -295,3 +296,34 @@ def test_transfer_runs_each_strategy_once(tmp_path, monkeypatch):
     # the configured pair, then the reverse direction's baseline and transfer
     assert calls == [("A->A", "A"), ("B->A", "A"), ("A+B->A", "A"),
                      ("A->A", "B"), ("B->A", "B")]
+
+
+def test_unknown_transfer_strategy_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, transfer={"strategies": ["A->A", "A->B"]})
+    assert run_cli("transfer", "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert "transfer.strategies" in err and "'A->B'" in err
+    assert not (tmp_path / "ws").exists()
+
+
+def _write_trades(path, seed):
+    spec = market.ProductSpec(market=BASE_CFG["market"], product_type=BASE_CFG["product_type"])
+    data = synth.generate(synth.SynthConfig(seed=seed, **BASE_CFG["synth"]), spec,
+                          parse_timestamp(BASE_CFG["horizon_start"]),
+                          parse_timestamp(BASE_CFG["horizon_end"]))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        market.write_trades_csv(data.trades, fh)
+
+
+def test_replaced_trades_csv_rebuilds_features(tmp_path):
+    trades = tmp_path / "trades.csv"
+    _write_trades(trades, seed=1)
+    cfg = write_cfg(tmp_path, trades_csv=str(trades))
+    assert run_cli("extract", "--config", str(cfg)) == 0
+    _write_trades(trades, seed=2)
+    assert run_cli("train", "--config", str(cfg)) == 0
+    features = sorted((tmp_path / "ws" / "features").iterdir())
+    assert len(features) == 2
+    assert not (tmp_path / "ws" / "synth").exists()
+    first, second = ((d / "features.csv").read_text() for d in features)
+    assert first != second

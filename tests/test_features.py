@@ -1,15 +1,19 @@
 import datetime as dt
 import math
 from multiprocessing import get_context
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from bookcast.features import (FAMILY_SLUGS, FEATURE_NAMES, PERCENTILES,
-                               WINDOW_LABELS, compute_stats, extract_features,
-                               feature_name, parse_feature_name, window_trades)
+from bookcast.features import (FAMILIES, FAMILY_SLUGS, FEATURE_NAMES, PERCENTILES,
+                               WINDOW_LABELS, extract_features, feature_name,
+                               parse_feature_name, side_window_stats,
+                               window_trades)
+from bookcast.market import TradeTable
+from bookcast.util import to_micros
 from conftest import T_F, mk_trade
-from oracles import brute_stats
+from oracles import brute_stats, numpy_side_windows
 
 
 # ---------------------------------------------------------------- naming
@@ -87,9 +91,30 @@ def test_window_left_boundary_open():
 
 # ---------------------------------------------------------------- stats
 
+def _family_slots():
+    slots, i = {}, 0
+    for family, is_pctl in FAMILIES:
+        width = len(PERCENTILES) if is_pctl else 1
+        slots[family] = slice(i, i + width) if is_pctl else i
+        i += width
+    return slots
+
+
+SLOTS = _family_slots()  # family -> position (or slice) in a kernel row
+
+
+def kernel_stats(trades):
+    """The kernel's statistics of one side's trades, all at or before T_F,
+    read from its unbounded-window row by family name."""
+    table = TradeTable.from_trades(trades)
+    row = side_window_stats(table.exec_us, table.price, table.volume, to_micros(T_F))[-1]
+    return SimpleNamespace(**{family: tuple(row[slot]) if isinstance(slot, slice) else row[slot]
+                              for family, slot in SLOTS.items()})
+
+
 def test_stats_two_trade_example():
     trades = [mk_trade(2, 10, 2, seq=0), mk_trade(1, 20, 2, seq=1)]
-    s = compute_stats(trades)
+    s = kernel_stats(trades)
     assert s.vwap == 15.0
     assert s.momentum == pytest.approx((20 - 15) / 15)
     assert s.delta_price == 10.0
@@ -101,7 +126,7 @@ def test_stats_two_trade_example():
 
 
 def test_stats_single_trade_degenerate():
-    s = compute_stats([mk_trade(1, 10, 2)])
+    s = kernel_stats([mk_trade(1, 10, 2)])
     assert s.min_price == s.max_price == s.first_price == s.last_price == 10.0
     assert all(p == 10.0 for p in s.price_pctl)
     assert s.price_vol == 0.0 and s.delta_price == 0.0 and s.momentum == 0.0
@@ -110,21 +135,54 @@ def test_stats_single_trade_degenerate():
 
 def test_stats_momentum_zero_vwap_guard():
     trades = [mk_trade(2, -5, 1, seq=0), mk_trade(1, 5, 1, seq=1)]
-    s = compute_stats(trades)
+    s = kernel_stats(trades)
     assert s.vwap == 0.0
     assert s.momentum == 0.0
 
 
 def test_stats_requires_nonempty():
     with pytest.raises(ValueError):
-        compute_stats([])
+        kernel_stats([])
 
 
 def test_stats_first_last_ties_broken_by_seq():
     a = mk_trade(1, 10, 1, seq=0)
     b = mk_trade(1, 20, 1, seq=1)
-    s = compute_stats([b, a])
+    s = kernel_stats([b, a])
     assert s.first_price == 10.0 and s.last_price == 20.0
+
+
+def test_kernel_matches_numpy_formulas_bit_for_bit():
+    # fuzzed sides against np.quantile/mean/std/dot per window: tied prices
+    # and volumes, repeated timestamps on a grid that hits window edges,
+    # empty short windows and suffixes of every length
+    rng = np.random.default_rng(29)
+    t_f_us = to_micros(T_F)
+    lengths, empty_windows = set(), 0
+    for trial in range(600):
+        n = int(rng.integers(1, 61))
+        if trial % 2:
+            minutes = rng.integers(0, 24, n) * 0.25
+        else:
+            minutes = rng.uniform(0, 400, n)
+        times = np.sort(t_f_us - np.round(minutes * 60_000_000).astype(np.int64))
+        if trial % 3 == 0:
+            prices = rng.choice([-3.5, 0.0, 41.25, 41.5, 60.0], n)
+            volumes = rng.choice([0.5, 1.0, 2.0], n)
+        else:
+            prices = rng.uniform(-80, 300, n)
+            volumes = rng.uniform(0.01, 30, n)
+        got = side_window_stats(times, prices, volumes, t_f_us)
+        want = numpy_side_windows(times, prices, volumes, t_f_us)
+        assert got.shape == (len(WINDOW_LABELS), 32)
+        assert got.tobytes() == want.tobytes(), trial
+        counts = got[:, SLOTS["trade_count"]]
+        starts = np.searchsorted(times, t_f_us - np.array([1, 5, 15, 60, 180]) * 60_000_000,
+                                 side="right")
+        empty_windows += int(np.sum(starts == n))
+        lengths.update(int(c) for c in counts)
+    assert {1, 2} <= lengths and max(lengths) >= 8
+    assert empty_windows > 0
 
 
 # ---------------------------------------------------------------- extraction
@@ -173,7 +231,7 @@ def test_extract_fallback_idempotent_on_nonempty():
     names = list(FEATURE_NAMES)
     only_w1_buy = [t for t in trades if t.side == "+"
                    and t.exec_time > T_F - dt.timedelta(minutes=1)]
-    s = compute_stats(only_w1_buy)
+    s = kernel_stats(only_w1_buy)
     assert vec[names.index("vwap|buy|1")] == s.vwap
     assert vec[names.index("trade_count|buy|1")] == s.trade_count
 

@@ -4,9 +4,13 @@ import io
 import numpy as np
 import pytest
 
+from bookcast.features import extract_features
 from bookcast.market import (ProductSpec, SplitBoundaries, Trade, TradeParseError,
-                             build_samples, enumerate_products, parse_trades,
-                             split_dataset, supervised, write_trades_csv)
+                             TradeTable, build_samples, enumerate_products,
+                             parse_trades, split_dataset, supervised,
+                             write_trades_csv)
+from bookcast.synth import SynthConfig, generate
+from bookcast.target import compute_id3
 from bookcast.util import UTC
 from conftest import mk_trade, mk_window_trade
 
@@ -58,6 +62,29 @@ def test_parse_malformed_row_raises_with_line():
     assert err.value.line == 2
 
 
+GOOD_ROW = ["2024-06-01T12:00:00Z", "+", "2024-06-01T08:00:00Z", "50.0", "5.0"]
+
+
+@pytest.mark.parametrize("field, column, value", [
+    ("product_start", 0, "2024-13-01T12:00:00Z"),
+    ("side", 1, "buy"),
+    ("exec_time", 2, "not-a-time"),
+    ("price", 3, "fifty"),
+    ("volume", 4, "5,0"),
+    ("price", 3, "inf"),
+    ("volume", 4, "nan"),
+])
+def test_parse_error_names_line_and_field(field, column, value):
+    bad = list(GOOD_ROW)
+    bad[column] = value
+    csv = HEADER + ",".join(GOOD_ROW) + "\n" + "\n" + '"' + '","'.join(bad) + '"\n'
+    with pytest.raises(TradeParseError) as err:
+        parse_trades(csv)
+    assert err.value.line == 4
+    assert err.value.field == field
+    assert f"line 4, field '{field}': " in str(err.value)
+
+
 def test_parse_bad_header_raises():
     with pytest.raises(TradeParseError):
         parse_trades("a,b,c\n1,2,3\n")
@@ -84,6 +111,23 @@ def test_trade_csv_round_trip():
     reparsed, rejected = parse_trades(buf.getvalue())
     assert rejected == []
     assert reparsed == trades
+
+
+def test_trade_table_acts_as_trade_sequence():
+    data = generate(SynthConfig(seed=2, liquidity=5.0), ProductSpec(market="DE"),
+                    dt.datetime(2024, 6, 1, tzinfo=UTC), dt.datetime(2024, 6, 2, tzinfo=UTC))
+    table, rows = data.trades, list(data.trades)
+    assert len(table) == len(rows) > 10
+    assert table[0] == rows[0] and table[-1] == rows[-1]
+    assert table[3:9] == rows[3:9] and len(table[3:9]) == 6
+    assert table == rows and table == TradeTable.from_trades(rows[::-1])
+    assert table != rows[1:] and table[1:] != rows[:-1]
+    assert [t.seq for t in rows] == list(range(len(rows)))
+    assert table != [1, 2] and table != "trades"
+    with pytest.raises(IndexError):
+        table[len(rows)]
+    with pytest.raises(ValueError):
+        table[::-1]
 
 
 def test_enumerate_60min_day():
@@ -174,6 +218,31 @@ def test_build_samples_one_sided_history_discarded(t_d):
     assert samples == []
     assert report.n_discarded_features == 1
     assert report.n_discarded_with_target == 1
+
+
+def test_build_samples_matches_per_product_extract():
+    spec = ProductSpec(market="AT", product_type="15min")
+    start = dt.datetime(2024, 6, 1, tzinfo=UTC)
+    end = start + dt.timedelta(days=1)
+    table = generate(SynthConfig(seed=4, liquidity=3.0, session_hours=6.0),
+                     spec, start, end).trades
+    samples, report = build_samples(table, spec, start, end)
+    built = {s.delivery_time: s for s in samples}
+    rows = list(table)
+    n_dropped = 0
+    for t_d in enumerate_products(spec, start, end):
+        product = [t for t in rows if t.product_start == t_d]
+        vec = extract_features(product, t_d - spec.lead_time)
+        if vec is None:
+            n_dropped += 1
+            assert t_d not in built
+            continue
+        assert built[t_d].features.tobytes() == vec.tobytes()
+        id3 = compute_id3(product, t_d, spec.delta_m)
+        assert built[t_d].target_id3 == id3.value
+        assert built[t_d].matched_trade_count == id3.trades_used
+    assert n_dropped == report.n_discarded_features > 0
+    assert len(built) == report.n_built > 0
 
 
 def test_split_boundaries_and_partition(t_d):

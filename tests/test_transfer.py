@@ -61,6 +61,12 @@ def test_unknown_strategy_rejected(dom_a, dom_b):
         run_strategy("A->B", dom_a, dom_b, **FAST)
 
 
+def test_run_pair_rejects_unknown_strategy(dom_a, dom_b):
+    with pytest.raises(ValueError, match="'A->B'"):
+        run_pair(dom_a, dom_b, "qknn", 2, [0], Q3, strategies=("A->A", "A->B"),
+                 alpha_grid=SMALL_GRID, solver_cfg=FAST_SOLVER)
+
+
 def test_union_strategy_superset(dom_a, dom_b):
     sel_a = ensure_selection(dom_a, Q3, SMALL_GRID, FAST_SOLVER)
     sel_b = ensure_selection(dom_b, Q3, SMALL_GRID, FAST_SOLVER)
