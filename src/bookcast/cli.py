@@ -7,8 +7,9 @@ where an area's key hashes only the config fields its outputs depend on
 (``STAGE_FIELDS``): changing a model setting reuses the synth, features and
 selection directories, and reruns with the same fields overwrite identical
 content. ``workspace`` and ``jobs`` key nothing. A command that needs a
-missing upstream output makes it first. Exit codes: 0 success, 1 runtime
-failure, 2 config error.
+missing upstream output makes it first; transfer domains keep their
+selections in the selection area under their own keys. Exit codes: 0
+success, 1 runtime failure, 2 config error.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .market import ProductSpec, SplitBoundaries, split_dataset
 from .metrics import MetricReport, evaluate, format_mean_std, summarize_runs
 from .models import load_checkpoint, save_checkpoint
 from .search import write_trials_jsonl
-from .selection import (SolverConfig, default_alpha_grid, importance_breakdown,
-                        top_k)
+from .selection import (SelectionResult, SolverConfig, default_alpha_grid,
+                        importance_breakdown, top_k, top_k_union)
 from .transfer import (STRATEGIES, check_strategies, domain_from_split,
                        ensure_selection, run_pair, sweep_point)
 from .util import UTC, config_hash, file_sha256, parse_timestamp
@@ -302,29 +303,11 @@ def _split(run: Run) -> market.DatasetSplit:
     return split_dataset(_load_samples(run), run.boundaries)
 
 
-def _domain(run: Run, name: str, dom_cfg: dict):
-    if dom_cfg.get("trades_csv"):
-        with open(dom_cfg["trades_csv"], newline="", encoding="utf-8") as fh:
-            trades, _ = market.parse_trades(fh, run.tz)
-        samples, _ = market.build_samples(trades, run.spec, run.start, run.end)
-        return domain_from_split(name, split_dataset(samples, run.boundaries))
-    cfg = _synth_config(run, dom_cfg.get("synth") or {})
-    dom, _ = synth.build_domain(name, cfg, run.spec, run.start, run.end,
-                                run.boundaries)
-    return dom
-
-
-def cmd_select(run: Run) -> Path:
-    domain = domain_from_split("main", _split(run))
-    sel = ensure_selection(domain, run.quantiles, run.alpha_grid, run.solver_cfg)
-    if not sel.union:
-        print("selection is empty: every coefficient fell below the zero "
-              "threshold at the tuned penalty", file=sys.stderr)
-        raise SystemExit(1)
+def _write_selection(run: Run, sel: SelectionResult) -> Path:
+    """Write ``selection.json`` and ``top_features.csv`` under run's selection key."""
     payload = sel.to_dict()
     payload["breakdown"] = importance_breakdown(sel).to_dict()
     out = run.write_json("selection", "selection.json", payload)
-
     k = int(run.cfg["selector"]["top_k"])
     rows = []
     for tau in run.quantiles:
@@ -339,20 +322,45 @@ def cmd_select(run: Run) -> Path:
     return out
 
 
+def _domain(run: Run, name: str, dom_cfg: dict):
+    """A synthetic transfer domain whose selection goes through the selection
+    area under the key of the main config with the domain's synth overrides."""
+    overrides = dom_cfg.get("synth") or {}
+    dom, _ = synth.build_domain(name, _synth_config(run, overrides), run.spec,
+                                run.start, run.end, run.boundaries)
+    dom_run = Run({**run.cfg, "synth": {**run.cfg["synth"], **overrides},
+                   "trades_csv": None})
+    cached = dom_run.workspace / "selection" / dom_run.keys["selection"] / "selection.json"
+    if cached.exists():
+        dom.selection = SelectionResult.from_dict(json.loads(cached.read_text()),
+                                                  FEATURE_NAMES)
+    else:
+        sel = ensure_selection(dom, dom_run.quantiles, dom_run.alpha_grid,
+                               dom_run.solver_cfg)
+        if sel.union:  # an empty selection is select's exit-1 case, never cached
+            _write_selection(dom_run, sel)
+    return dom
+
+
+def cmd_select(run: Run) -> Path:
+    domain = domain_from_split("main", _split(run))
+    sel = ensure_selection(domain, run.quantiles, run.alpha_grid, run.solver_cfg)
+    if not sel.union:
+        print("selection is empty: every coefficient fell below the zero "
+              "threshold at the tuned penalty", file=sys.stderr)
+        raise SystemExit(1)
+    return _write_selection(run, sel)
+
+
 def _feature_set(run: Run) -> List[str]:
     choice = run.cfg["model"]["feature_set"]
     if choice in NAIVE_FEATURE_SETS:
         return list(NAIVE_FEATURE_SETS[choice])
-    sel = json.loads(_output(run, "selection", "selection.json", cmd_select).read_text())
+    path = _output(run, "selection", "selection.json", cmd_select)
+    sel = SelectionResult.from_dict(json.loads(path.read_text()), FEATURE_NAMES)
     if choice == "full":
-        return list(sel["union"])
-    names: List[str] = []
-    for tau_entries in sel["selected"].values():
-        ranked = sorted(tau_entries, key=lambda e: (-abs(e["coefficient"]), e["name"]))
-        for e in ranked[: int(run.cfg["selector"]["top_k"])]:
-            if e["name"] not in names:
-                names.append(e["name"])
-    return [n for n in FEATURE_NAMES if n in set(names)]
+        return list(sel.union)
+    return top_k_union(sel, int(run.cfg["selector"]["top_k"]))
 
 
 def _train_one(args) -> tuple:

@@ -1,9 +1,9 @@
-"""One experiment unit: standardize, search hyperparameters, refit, evaluate.
+"""One experiment unit: standardize, search hyperparameters, evaluate.
 
 The runner slices a named feature subset out of the canonical universe,
 z-scores it with training statistics, searches the family's space on
-train/validation, refits the winning configuration with its trial seed, and
-reports test metrics. Test data is standardized with the TRAINING statistics
+train/validation, returns the winning trial's model, and reports test
+metrics. Test data is standardized with the TRAINING statistics
 and only touched in the final evaluation step.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 from .features import FEATURE_NAMES
 from .market import Sample, supervised
 from .metrics import MetricReport, evaluate
-from .models import QuantileModel, make_model
+from .models import QuantileModel
 from .search import (Config, SearchData, SearchSpace, Trial, default_space,
                      run_search)
 from .selection import standardize
@@ -74,9 +74,7 @@ def run_experiment(feature_names: Sequence[str],
     data = SearchData(X_tr_s, y_tr, X_val_s, y_val)
     best, trials = run_search(family, space, budget, data, quantiles,
                               seed=seed, base_config=base_config)
-    model = make_model(family, quantiles, seed=best.seed,
-                       **{**(base_config or {}), **best.config})
-    model.fit(X_tr_s, y_tr, X_val_s, y_val)
+    model = best.model
     report = evaluate(y_te, model.predict(X_te_s), quantiles)
     prep = {"feature_names": list(feature_names), "mean": mean, "scale": scale}
     return ExperimentResult(report=report, best_trial=best, trials=trials,

@@ -14,12 +14,12 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..util import weighted_quantile_geq
 from .base import QuantileModel, TrainReport
 
 METRICS = ("euclidean", "manhattan")
 WEIGHTINGS = ("uniform", "distance")
 DISTANCE_EPS = 1e-12
+CHUNK_ELEMENTS = 250_000  # distance temporaries per predict chunk (~2 MB)
 
 
 class QKNNModel(QuantileModel):
@@ -51,34 +51,50 @@ class QKNNModel(QuantileModel):
         self._y = y.copy()
         return TrainReport(loss_trace=[0.0], wall_time=time.perf_counter() - t0)
 
-    def _distances(self, X: np.ndarray) -> np.ndarray:
+    def _distances(self, X: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         if self.metric == "euclidean":
             d2 = (np.sum(X ** 2, axis=1)[:, None]
                   + np.sum(self._X ** 2, axis=1)[None, :]
                   - 2.0 * X @ self._X.T)
             return np.sqrt(np.maximum(d2, 0.0))
-        return np.sum(np.abs(X[:, None, :] - self._X[None, :, :]), axis=2)
+        # (rows, n_train, n_features) differences in a buffer reused across
+        # chunks: fresh multi-megabyte temporaries fault their pages in anew
+        diff = scratch[: X.shape[0]]
+        np.subtract(X[:, None, :], self._X[None, :, :], out=diff)
+        np.abs(diff, out=diff)
+        return np.sum(diff, axis=2)
 
     def predict(self, X) -> np.ndarray:
         if self._X is None:
             raise RuntimeError("model is not fitted")
-        X = self._check_matrix(X)
+        # column-indexed design matrices arrive F-ordered; rows must be contiguous
+        X = np.ascontiguousarray(self._check_matrix(X))
         taus = np.array(self.quantiles)
+        k = self.n_neighbors
         out = np.empty((X.shape[0], taus.size))
-        # manhattan materializes (rows, n_train, n_features); budget for it
-        per_row = self._X.shape[0] * (self._X.shape[1] if self.metric == "manhattan" else 1)
-        chunk = max(1, int(2e7 // max(1, per_row)))
+        # manhattan materializes (rows, n_train, n_features); keep each
+        # chunk's temporaries near CHUNK_ELEMENTS
+        manhattan = self.metric == "manhattan"
+        per_row = self._X.shape[0] * (self._X.shape[1] if manhattan else 1)
+        chunk = max(1, min(X.shape[0], int(CHUNK_ELEMENTS // max(1, per_row))))
+        scratch = np.empty((chunk,) + self._X.shape if manhattan else 0)
         for lo in range(0, X.shape[0], chunk):
-            block = X[lo: lo + chunk]
-            dists = self._distances(block)
-            order = np.argsort(dists, axis=1, kind="stable")[:, : self.n_neighbors]
-            for i in range(block.shape[0]):
-                neigh_y = self._y[order[i]]
-                if self.weights == "uniform":
-                    out[lo + i] = np.quantile(neigh_y, taus)
-                else:
-                    w = 1.0 / (dists[i, order[i]] + DISTANCE_EPS)
-                    out[lo + i] = [weighted_quantile_geq(neigh_y, w, t) for t in taus]
+            dists = self._distances(X[lo: lo + chunk], scratch)
+            order = np.argsort(dists, axis=1, kind="stable")[:, :k]
+            neigh_y = self._y[order]
+            if self.weights == "uniform":
+                out[lo: lo + chunk] = np.quantile(neigh_y, taus, axis=1).T
+                continue
+            # weighted_quantile_geq per row: stable sort by target, normalized
+            # cumulative weight, first position whose weight reaches tau
+            w = 1.0 / (np.take_along_axis(dists, order, axis=1) + DISTANCE_EPS)
+            by_y = np.argsort(neigh_y, axis=1, kind="stable")
+            neigh_y = np.take_along_axis(neigh_y, by_y, axis=1)
+            w = np.take_along_axis(w, by_y, axis=1)
+            cum = np.cumsum(w, axis=1) / np.sum(w, axis=1, keepdims=True)
+            for j, tau in enumerate(taus):
+                idx = np.minimum(np.sum(cum < tau, axis=1), k - 1)
+                out[lo: lo + chunk, j] = neigh_y[np.arange(idx.size), idx]
         return out
 
     def config(self) -> dict:

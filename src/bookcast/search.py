@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .metrics import aql
-from .models import make_model
+from .models import QuantileModel, make_model
 
 Config = Dict[str, object]
 
@@ -118,6 +118,8 @@ class Trial:
     status: str = "ok"
     error: Optional[str] = None
     duration: float = 0.0
+    # the fitted model, kept on the best trial only
+    model: Optional[QuantileModel] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,11 @@ def trial_seed(seed: int, trial_id: int) -> int:
 def run_search(family: str, space: SearchSpace, budget: int, data: SearchData,
                quantiles, seed: int = 0, sampler: Optional[Sampler] = None,
                base_config: Optional[Config] = None) -> Tuple[Trial, List[Trial]]:
-    """Evaluate ``budget`` sampled configurations, returning (best, all trials)."""
+    """Evaluate ``budget`` sampled configurations, returning (best, all trials).
+
+    The best trial keeps its fitted model in ``Trial.model``; every family
+    is deterministic given (config, seed, data), so it equals a refit.
+    """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     sampler = sampler or random_sampler
@@ -161,6 +167,9 @@ def run_search(family: str, space: SearchSpace, budget: int, data: SearchData,
         t.duration = time.perf_counter() - t0
         trials.append(t)
         if t.status == "ok" and (best is None or t.val_aql < best.val_aql):
+            if best is not None:
+                best.model = None
+            t.model = model
             best = t
     if best is None:
         raise SearchError(trials)

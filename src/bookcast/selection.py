@@ -262,6 +262,27 @@ class SelectionResult:
             "importance": self.importance,
         }
 
+    @classmethod
+    def from_dict(cls, payload: dict, feature_names: Sequence[str]) -> "SelectionResult":
+        """Inverse of ``to_dict`` over the universe ``feature_names``.
+
+        The payload stores coefficients of selected features only, so
+        ``per_tau_coef`` holds those.
+        """
+        taus = tuple(float(t) for t in payload["quantiles"])
+        selected = {float(t): entries for t, entries in payload["selected"].items()}
+        alphas = {float(t): a for t, a in payload["alpha_per_tau"].items()}
+        return cls(
+            quantiles=taus,
+            feature_names=tuple(feature_names),
+            per_tau_selected={t: [e["name"] for e in selected[t]] for t in taus},
+            per_tau_coef={t: {e["name"]: e["coefficient"] for e in selected[t]}
+                          for t in taus},
+            alpha_per_tau={t: alphas[t] for t in taus},
+            union=list(payload["union"]),
+            importance={n: payload["importance"][n] for n in feature_names},
+        )
+
 
 def select_features(fits_per_tau: Dict[float, L1QuantileFit],
                     feature_names: Sequence[str],
@@ -346,3 +367,11 @@ def top_k(result: SelectionResult, tau: float, k: int) -> Tuple[List[str], bool]
     if k >= len(ranked):
         return ranked, len(ranked) < k
     return ranked[:k], False
+
+
+def top_k_union(result: SelectionResult, k: int) -> List[str]:
+    """Union over quantile levels of the top-k features, in universe order."""
+    chosen = set()
+    for tau in result.quantiles:
+        chosen.update(top_k(result, tau, k)[0])
+    return [n for n in result.feature_names if n in chosen]

@@ -27,7 +27,7 @@ from .market import DatasetSplit, supervised
 from .metrics import MetricReport, summarize_runs
 from .search import Config, SearchSpace
 from .selection import (SelectionResult, SolverConfig, select_features,
-                        standardize, top_k, tune_alpha)
+                        standardize, top_k_union, tune_alpha)
 
 STRATEGIES = ("A->A", "B->A", "A+B->A")
 FEATURE_MODES = ("union", "top5")
@@ -86,13 +86,7 @@ def domain_feature_set(domain: Domain, feature_mode: str = "union") -> List[str]
     sel = domain.selection
     if sel is None:
         raise RuntimeError(f"domain {domain.name} has no selection yet")
-    if feature_mode == "union":
-        return list(sel.union)
-    chosen = set()
-    for tau in sel.quantiles:
-        names, _ = top_k(sel, tau, 5)
-        chosen.update(names)
-    return [n for n in FEATURE_NAMES if n in chosen]
+    return list(sel.union) if feature_mode == "union" else top_k_union(sel, 5)
 
 
 @dataclass

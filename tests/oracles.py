@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from bookcast.util import to_micros
+from bookcast.util import to_micros, weighted_quantile_geq
 
 
 def brute_id3(trades, t_d, delta_m):
@@ -168,6 +168,34 @@ def brute_knn_quantiles(X_train, y_train, query, k, taus, metric="euclidean"):
         d = np.abs(X_train - query).sum(axis=1)
     near = y_train[np.argsort(d, kind="stable")[:k]]
     return np.quantile(near, taus)
+
+
+def per_row_knn_predict(X_train, y_train, queries, k, taus, metric, weights,
+                        eps=1e-12):
+    """QKNN predictions one query row at a time.
+
+    Distances follow the model's own formulas (the Gram expansion for
+    euclidean), so the comparison can be bit for bit; each row then takes
+    ``np.quantile`` of its k nearest targets (uniform) or
+    ``weighted_quantile_geq`` with weights 1/(d + eps) (distance).
+    """
+    Q = np.ascontiguousarray(queries, dtype=float)
+    if metric == "euclidean":
+        d2 = (np.sum(Q ** 2, axis=1)[:, None] + np.sum(X_train ** 2, axis=1)[None, :]
+              - 2.0 * Q @ X_train.T)
+        dists = np.sqrt(np.maximum(d2, 0.0))
+    else:
+        dists = np.array([np.abs(q - X_train).sum(axis=1) for q in Q])
+    out = np.empty((Q.shape[0], len(taus)))
+    for i in range(Q.shape[0]):
+        order = np.argsort(dists[i], kind="stable")[:k]
+        near = y_train[order]
+        if weights == "uniform":
+            out[i] = np.quantile(near, taus)
+        else:
+            w = 1.0 / (dists[i, order] + eps)
+            out[i] = [weighted_quantile_geq(near, w, t) for t in taus]
+    return out
 
 
 def brute_qgbt_node_gains(X, grad, rows, feats, max_bins):

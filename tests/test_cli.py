@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -9,6 +11,8 @@ from bookcast import market, synth, transfer
 from bookcast.cli import DEFAULT_CONFIG, STAGE_FIELDS, Run, load_config, main
 from bookcast.features import FEATURE_NAMES
 from bookcast.util import parse_timestamp
+
+ROOT = Path(__file__).resolve().parent.parent
 
 BASE_CFG = {
     "seed": 0,
@@ -195,9 +199,13 @@ def test_transfer_outputs(tmp_path):
 
 def test_cli_entrypoint_subprocess(tmp_path):
     cfg = write_cfg(tmp_path)
+    # pytest's pythonpath setting reaches this process only, not the child
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run([sys.executable, "-m", "bookcast.cli", "synth",
                            "--config", str(cfg)],
-                          capture_output=True, text=True)
+                          env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "trades.csv" in proc.stdout
 
@@ -327,3 +335,61 @@ def test_replaced_trades_csv_rebuilds_features(tmp_path):
     assert not (tmp_path / "ws" / "synth").exists()
     first, second = ((d / "features.csv").read_text() for d in features)
     assert first != second
+
+
+def test_transfer_domain_trades_csv_exits_2(tmp_path, capsys):
+    # transfer domains are synthetic; a trade file is not a domain field
+    cfg = write_cfg(tmp_path, transfer={"domain_a": {"name": "A",
+                                                     "trades_csv": "trades.csv"}})
+    assert run_cli("transfer", "--config", str(cfg)) == 2
+    assert "transfer.domain_a.trades_csv" in capsys.readouterr().err
+
+
+def test_transfer_domains_share_the_selection_cache(tmp_path, monkeypatch):
+    calls = {"tune_alpha": 0}
+    monkeypatch.setattr(transfer, "tune_alpha",
+                        _counting(calls, "tune_alpha", transfer.tune_alpha))
+    n_tau = len(DEFAULT_CONFIG["quantiles"])
+    extra = dict(
+        transfer={"model_family": "qknn", "budget": 2, "seeds": [0],
+                  # domain A merges to the main synth config, B does not
+                  "domain_a": {"name": "A", "synth": {"liquidity": 15.0}},
+                  "domain_b": {"name": "B", "synth": {"liquidity": 25.0}}},
+        selector={"alpha_grid_size": 4, "max_iter": 200, "stages": 2},
+    )
+
+    def transfer_calls(cfg):
+        before = calls["tune_alpha"]
+        assert run_cli("transfer", "--config", str(cfg)) == 0
+        return calls["tune_alpha"] - before
+
+    (tmp_path / "warm").mkdir()
+    (tmp_path / "cold").mkdir()
+    warm = write_cfg(tmp_path / "warm", **extra)
+    cold = write_cfg(tmp_path / "cold", **extra)
+    main_key = Run(load_config(str(warm), {})).keys["selection"]
+
+    # select first: transfer tunes domain B only, then nothing at all
+    assert run_cli("select", "--config", str(warm)) == 0
+    main_sel = tmp_path / "warm" / "ws" / "selection" / main_key / "selection.json"
+    selected = main_sel.read_bytes()
+    assert transfer_calls(warm) == n_tau
+    sel_dirs = sorted(p.name for p in (tmp_path / "warm" / "ws" / "selection").iterdir())
+    assert len(sel_dirs) == 2 and main_key in sel_dirs
+    assert main_sel.read_bytes() == selected
+    warm_reports = (_hash_dir(tmp_path / "warm" / "ws", "transfer") / "reports.json").read_bytes()
+    assert transfer_calls(warm) == 0
+    assert (_hash_dir(tmp_path / "warm" / "ws", "transfer")
+            / "reports.json").read_bytes() == warm_reports
+
+    # a cold transfer tunes both domains, reports the same bytes, and writes
+    # the main key's selection exactly as select does
+    assert transfer_calls(cold) == 2 * n_tau
+    assert (_hash_dir(tmp_path / "cold" / "ws", "transfer")
+            / "reports.json").read_bytes() == warm_reports
+    cold_sel = tmp_path / "cold" / "ws" / "selection" / main_key
+    assert (cold_sel / "selection.json").read_bytes() == selected
+    top = (main_sel.parent / "top_features.csv").read_bytes()
+    assert (cold_sel / "top_features.csv").read_bytes() == top
+    assert run_cli("select", "--config", str(cold)) == 0
+    assert (cold_sel / "selection.json").read_bytes() == selected

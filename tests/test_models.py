@@ -6,7 +6,7 @@ from bookcast.models import (LQRModel, QGBTModel, QKNNModel, QMLPModel,
                              load_checkpoint, make_model, save_checkpoint)
 from bookcast.util import pinball_quantile, rng_for, weighted_quantile_geq
 from oracles import (brute_knn_quantiles, brute_qgbt_node_gains,
-                     pinball_optimal_intercept)
+                     per_row_knn_predict, pinball_optimal_intercept)
 
 Q3 = (0.1, 0.5, 0.9)
 
@@ -131,6 +131,35 @@ def test_qknn_uniform_oracle_200_queries():
         for i in range(100):
             expected = brute_knn_quantiles(X, y, queries[i], 9, list(Q3), metric)
             assert np.array_equal(pred[i], expected)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("weights", ["uniform", "distance"])
+def test_qknn_predict_matches_per_row_oracle_bit_for_bit(metric, weights):
+    rng = np.random.default_rng(11)
+    for case in range(60):
+        n, d, m = int(rng.integers(1, 40)), int(rng.integers(1, 8)), int(rng.integers(1, 50))
+        if case % 2:  # integer grids tie distances and targets
+            X = rng.integers(0, 3, size=(n, d)).astype(float)
+            y = rng.integers(0, 4, size=n).astype(float)
+            queries = rng.integers(0, 3, size=(m, d)).astype(float)
+        else:
+            X, y, queries = rng.normal(size=(n, d)), rng.normal(size=n), rng.normal(size=(m, d))
+        queries[: m // 3] = X[rng.integers(0, n, size=m // 3)]  # zero distances
+        queries = np.asfortranarray(queries)  # as column indexing leaves them
+        k = n if case % 3 == 0 else int(rng.integers(1, n + 1))
+        taus = Q3 if case % 4 else (0.05, 0.25, 0.5, 0.75, 0.95)
+        model = QKNNModel(taus, n_neighbors=k, metric=metric, weights=weights)
+        model.fit(X, y)
+        expected = per_row_knn_predict(X, y, queries, k, taus, metric, weights)
+        assert model.predict(queries).tobytes() == expected.tobytes(), case
+    # several predict chunks: manhattan keeps (rows, n_train, d) per chunk
+    X, y = rng.normal(size=(60, 50)), rng.integers(0, 5, size=60).astype(float)
+    queries = np.asfortranarray(rng.normal(size=(200, 50)))
+    model = QKNNModel(Q3, n_neighbors=7, metric=metric, weights=weights)
+    model.fit(X, y)
+    expected = per_row_knn_predict(X, y, queries, 7, Q3, metric, weights)
+    assert model.predict(queries).tobytes() == expected.tobytes()
 
 
 def test_qknn_weighted_quantile_definition():

@@ -1,10 +1,13 @@
 import dataclasses
+import json
 
 import pytest
 
-from bookcast.transfer import (Domain, asymmetry_sweep, ensure_selection,
-                               run_pair, run_strategy, sweep_point,
-                               trade_count_ratio)
+from bookcast.features import FEATURE_NAMES
+from bookcast.selection import SelectionResult
+from bookcast.transfer import (FEATURE_MODES, Domain, asymmetry_sweep,
+                               domain_feature_set, ensure_selection, run_pair,
+                               run_strategy, sweep_point, trade_count_ratio)
 from helpers import FAST_SOLVER, SMALL_GRID, tiny_domain
 
 Q3 = (0.1, 0.5, 0.9)
@@ -143,3 +146,21 @@ def test_no_test_leakage_sentinel():
     r1 = run_strategy("A->A", A1, B, **FAST)
     r2 = run_strategy("A->A", A2, B, **FAST)
     assert r1.metrics.aql != r2.metrics.aql
+
+
+def test_selection_round_trips_through_its_dict(dom_a):
+    sel = ensure_selection(dom_a, Q3, SMALL_GRID, FAST_SOLVER)
+    assert sel.union
+    payload = json.loads(json.dumps(sel.to_dict(), sort_keys=True))
+    back = SelectionResult.from_dict(payload, FEATURE_NAMES)
+    assert back.quantiles == sel.quantiles
+    assert back.union == sel.union
+    assert back.per_tau_selected == sel.per_tau_selected
+    assert back.alpha_per_tau == sel.alpha_per_tau
+    assert list(back.importance.items()) == list(sel.importance.items())
+    for tau, names in sel.per_tau_selected.items():
+        assert back.per_tau_coef[tau] == {n: sel.per_tau_coef[tau][n] for n in names}
+    restored = dataclasses.replace(dom_a, selection=back)
+    for mode in FEATURE_MODES:
+        assert domain_feature_set(restored, mode) == domain_feature_set(dom_a, mode)
+    assert back.to_dict() == sel.to_dict()
