@@ -323,13 +323,19 @@ def _write_selection(run: Run, sel: SelectionResult) -> Path:
 
 
 def _domain(run: Run, name: str, dom_cfg: dict):
-    """A synthetic transfer domain whose selection goes through the selection
-    area under the key of the main config with the domain's synth overrides."""
+    """A synthetic transfer domain keyed as the main config with the domain's
+    synth overrides. Its samples come from that key's ``features.csv`` when
+    ``extract`` wrote one, and are built in memory (not written) otherwise;
+    its selection goes through the selection area under the same key."""
     overrides = dom_cfg.get("synth") or {}
-    dom, _ = synth.build_domain(name, _synth_config(run, overrides), run.spec,
-                                run.start, run.end, run.boundaries)
     dom_run = Run({**run.cfg, "synth": {**run.cfg["synth"], **overrides},
                    "trades_csv": None})
+    features = dom_run.workspace / "features" / dom_run.keys["features"] / "features.csv"
+    if features.exists():
+        dom = domain_from_split(name, _split(dom_run))
+    else:
+        dom, _ = synth.build_domain(name, _synth_config(dom_run), run.spec,
+                                    run.start, run.end, run.boundaries)
     cached = dom_run.workspace / "selection" / dom_run.keys["selection"] / "selection.json"
     if cached.exists():
         dom.selection = SelectionResult.from_dict(json.loads(cached.read_text()),

@@ -1,10 +1,17 @@
 """Feedforward quantile network: shared ReLU trunk, one linear head per
 quantile level, trained jointly on the mean pinball loss across heads.
 
-Pure numpy: forward, backprop, inverted dropout, and Adam are implemented
-here so gradients can be checked against finite differences. Training uses
-mini-batches with early stopping on validation AQL (patience 10) and
-restores the best-epoch weights.
+Pure numpy: forward, backprop, inverted dropout, and Adam (Kingma & Ba,
+2015) are implemented here so gradients can be checked against finite
+differences. Training uses mini-batches with early stopping on validation
+AQL (patience 10) and restores the best-epoch weights.
+
+All weights and biases live in one flat float64 vector (W then b per layer;
+the per-layer arrays are views of it). Backprop writes into one flat
+gradient vector, Adam updates the parameters in place in fixed blocks, and
+the best epoch is snapshotted into one more vector, so training holds about
+five parameter-sized vectors (parameters, gradient, Adam's two moments,
+best epoch) and allocates none of them per step.
 """
 
 from __future__ import annotations
@@ -23,6 +30,51 @@ PATIENCE = 10
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# elements per Adam block: two block-sized scratch vectors hold the update's
+# temporaries, so no step allocates parameter-sized arrays
+ADAM_BLOCK = 1 << 15
+
+
+def _flat_layers(shapes) -> Tuple[np.ndarray, List[np.ndarray], List[np.ndarray]]:
+    """A flat float64 vector and its per-layer (weights, biases) views, laid
+    out W then b per layer."""
+    flat = np.empty(sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes))
+    weights, biases = [], []
+    lo = 0
+    for fan_in, fan_out in shapes:
+        hi = lo + fan_in * fan_out
+        weights.append(flat[lo:hi].reshape(fan_in, fan_out))
+        biases.append(flat[hi:hi + fan_out])
+        lo = hi + fan_out
+    return flat, weights, biases
+
+
+def _adam_step(params, grad, m, v, scratch, lr: float, step: int) -> None:
+    """One in-place Adam update of flat vectors, block by block.
+
+    Each element sees the same float operations in the same order as the
+    whole-array form ``p -= lr * m_hat / (sqrt(v_hat) + eps)``.
+    """
+    c1 = 1 - ADAM_BETA1 ** step
+    c2 = 1 - ADAM_BETA2 ** step
+    for lo in range(0, params.size, ADAM_BLOCK):
+        hi = min(lo + ADAM_BLOCK, params.size)
+        g, mb, vb = grad[lo:hi], m[lo:hi], v[lo:hi]
+        a, b = scratch[0, :hi - lo], scratch[1, :hi - lo]
+        mb *= ADAM_BETA1
+        np.multiply(g, 1 - ADAM_BETA1, out=a)
+        mb += a
+        vb *= ADAM_BETA2
+        np.square(g, out=a)
+        a *= 1 - ADAM_BETA2
+        vb += a
+        np.divide(mb, c1, out=a)
+        a *= lr
+        np.divide(vb, c2, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        params[lo:hi] -= a
 
 
 class QMLPModel(QuantileModel):
@@ -50,18 +102,19 @@ class QMLPModel(QuantileModel):
         self.max_epochs = int(max_epochs)
         self.patience = int(patience)
         self.lr_decay = float(lr_decay)
+        self._flat: Optional[np.ndarray] = None
         self._weights: Optional[List[np.ndarray]] = None
         self._biases: Optional[List[np.ndarray]] = None
 
     def _init_params(self, n_features: int) -> None:
         rng = rng_for(self.seed, 0)
         sizes = [n_features] + [self.hidden_size] * self.n_layers + [len(self.quantiles)]
-        self._weights = []
-        self._biases = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        shapes = list(zip(sizes[:-1], sizes[1:]))
+        self._flat, self._weights, self._biases = _flat_layers(shapes)
+        for (fan_in, fan_out), w, b in zip(shapes, self._weights, self._biases):
             bound = 1.0 / np.sqrt(fan_in)
-            self._weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self._biases.append(rng.uniform(-bound, bound, size=fan_out))
+            w[...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+            b[...] = rng.uniform(-bound, bound, size=fan_out)
 
     def _forward(self, X: np.ndarray, dropout_rng=None):
         """Returns (output, cache) with per-layer inputs and dropout masks."""
@@ -90,36 +143,34 @@ class QMLPModel(QuantileModel):
         grad = np.where(diff >= 0, -taus, 1.0 - taus) * scale
         return loss, grad
 
-    def _backward(self, acts, masks, g: np.ndarray) -> List[np.ndarray]:
-        """Parameter gradients from d(loss)/d(output); order matches parameters().
+    def _backward(self, acts, masks, g: np.ndarray, grads_w, grads_b) -> None:
+        """Parameter gradients from d(loss)/d(output), written into the
+        per-layer views ``grads_w``/``grads_b`` of a flat gradient vector.
 
         Post-dropout activations are zero wherever a unit was dropped or the
         ReLU was inactive, so (activation > 0) recovers the exact ReLU gate
         on the surviving units.
         """
-        grads_w = [None] * len(self._weights)
-        grads_b = [None] * len(self._biases)
-        grads_w[-1] = acts[-1].T @ g
-        grads_b[-1] = g.sum(axis=0)
+        np.matmul(acts[-1].T, g, out=grads_w[-1])
+        np.sum(g, axis=0, out=grads_b[-1])
         upstream = g @ self._weights[-1].T
         for l in range(self.n_layers - 1, -1, -1):
             if masks[l] is not None:
                 upstream = upstream * masks[l] / (1.0 - self.dropout_rate)
             upstream = upstream * (acts[l + 1] > 0)
-            grads_w[l] = acts[l].T @ upstream
-            grads_b[l] = upstream.sum(axis=0)
+            np.matmul(acts[l].T, upstream, out=grads_w[l])
+            np.sum(upstream, axis=0, out=grads_b[l])
             if l > 0:
                 upstream = upstream @ self._weights[l].T
-        grads = []
-        for w, b in zip(grads_w, grads_b):
-            grads.extend([w, b])
-        return grads
 
     def loss_and_grads(self, X: np.ndarray, y: np.ndarray):
-        """Full-batch loss and analytic parameter gradients, dropout off."""
+        """Full-batch loss and analytic parameter gradients (fresh arrays,
+        ordered as parameters()), dropout off."""
         out, (acts, masks) = self._forward(np.asarray(X, dtype=float))
         loss, g = self._loss_grad_out(np.asarray(y, dtype=float), out)
-        return loss, self._backward(acts, masks, g)
+        _, grads_w, grads_b = _flat_layers([w.shape for w in self._weights])
+        self._backward(acts, masks, g, grads_w, grads_b)
+        return loss, [a for pair in zip(grads_w, grads_b) for a in pair]
 
     def parameters(self) -> List[np.ndarray]:
         params = []
@@ -137,9 +188,11 @@ class QMLPModel(QuantileModel):
         dropout_rng = rng_for(self.seed, 2)
         batch = min(self.batch_size, n)
 
-        params = self.parameters()
-        m_state = [np.zeros_like(p) for p in params]
-        v_state = [np.zeros_like(p) for p in params]
+        params = self._flat
+        grad, grads_w, grads_b = _flat_layers([w.shape for w in self._weights])
+        m_state = np.zeros_like(params)
+        v_state = np.zeros_like(params)
+        scratch = np.empty((2, min(ADAM_BLOCK, params.size)))
         step = 0
 
         report = TrainReport()
@@ -164,16 +217,9 @@ class QMLPModel(QuantileModel):
                         f"(learning_rate={self.learning_rate})")
                 epoch_loss += loss * idx.size
 
-                grads = self._backward(acts, masks, g)
+                self._backward(acts, masks, g, grads_w, grads_b)
                 step += 1
-                for p, grad, m, v in zip(params, grads, m_state, v_state):
-                    m *= ADAM_BETA1
-                    m += (1 - ADAM_BETA1) * grad
-                    v *= ADAM_BETA2
-                    v += (1 - ADAM_BETA2) * grad ** 2
-                    m_hat = m / (1 - ADAM_BETA1 ** step)
-                    v_hat = v / (1 - ADAM_BETA2 ** step)
-                    p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                _adam_step(params, grad, m_state, v_state, scratch, lr, step)
 
             report.loss_trace.append(epoch_loss / n)
             if X_val is not None and y_val is not None and len(y_val):
@@ -181,7 +227,9 @@ class QMLPModel(QuantileModel):
                 report.val_aql_trace.append(val_aql)
                 if val_aql < best_val:
                     best_val = val_aql
-                    best_params = [p.copy() for p in params]
+                    if best_params is None:
+                        best_params = np.empty_like(params)
+                    np.copyto(best_params, params)
                     best_epoch = epoch
                     wait = 0
                 else:
@@ -190,8 +238,7 @@ class QMLPModel(QuantileModel):
                         break
 
         if best_params is not None:
-            for p, bp in zip(params, best_params):
-                p[...] = bp
+            np.copyto(params, best_params)
             report.early_stop_epoch = best_epoch
         else:
             report.early_stop_epoch = len(report.loss_trace)

@@ -52,25 +52,23 @@ def objective(X: np.ndarray, y: np.ndarray, tau: float, alpha: float,
     return resid_loss + alpha * float(np.sum(np.abs(beta)))
 
 
-def _smooth_loss_and_grad(r: np.ndarray, tau: float, kappa: float):
-    """Smoothed pinball summed over residuals, and its derivative wrt r.
+def _smooth_loss(r: np.ndarray, tau: float, kappa: float) -> float:
+    """Smoothed pinball summed over residuals.
 
     Quadratic of curvature 1/(2*kappa) replaces the kink on [-kappa, kappa],
     matching value and slope at the joins.
     """
-    hi = r >= kappa
-    lo = r <= -kappa
-    mid = ~(hi | lo)
-    val = np.empty_like(r)
-    grad = np.empty_like(r)
-    val[hi] = tau * r[hi]
-    grad[hi] = tau
-    val[lo] = (tau - 1.0) * r[lo]
-    grad[lo] = tau - 1.0
-    rm = r[mid]
-    val[mid] = rm * rm / (4.0 * kappa) + (tau - 0.5) * rm + kappa / 4.0
-    grad[mid] = rm / (2.0 * kappa) + (tau - 0.5)
-    return float(np.sum(val)), grad
+    val = np.where(r >= kappa, tau * r,
+                   np.where(r <= -kappa, (tau - 1.0) * r,
+                            r * r / (4.0 * kappa) + (tau - 0.5) * r + kappa / 4.0))
+    return float(np.sum(val))
+
+
+def _smooth_loss_and_grad(r: np.ndarray, tau: float, kappa: float):
+    """_smooth_loss and its derivative wrt r."""
+    grad = np.where(r >= kappa, tau,
+                    np.where(r <= -kappa, tau - 1.0, r / (2.0 * kappa) + (tau - 0.5)))
+    return _smooth_loss(r, tau, kappa), grad
 
 
 def fit_l1_lqr(X: np.ndarray, y: np.ndarray, tau: float, alpha: float,
@@ -145,7 +143,7 @@ def _mfista_stage(X, y, tau, alpha, beta, b, kappa, step, cfg, trace):
             z_beta = soft_threshold(y_beta - step * grad_beta, step * alpha)
             z_b = y_b - step * grad_b
             rz = y - X @ z_beta - z_b
-            f_z, _ = _smooth_loss_and_grad(rz, tau, kappa)
+            f_z = _smooth_loss(rz, tau, kappa)
             db = z_beta - y_beta
             dbi = z_b - y_b
             quad = (f_y + float(grad_beta @ db) + grad_b * dbi

@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from bookcast.util import to_micros, weighted_quantile_geq
+from bookcast.metrics import aql
+from bookcast.util import rng_for, to_micros, weighted_quantile_geq
 
 
 def brute_id3(trades, t_d, delta_m):
@@ -233,3 +234,102 @@ def brute_qgbt_node_gains(X, grad, rows, feats, max_bins):
                 out.append((sum_l * sum_l / n_l + sum_r * sum_r / n_r - parent,
                             int(f), cut))
     return out, squares
+
+
+def reference_qmlp_fit(quantiles, seed, X, y, X_val=None, y_val=None,
+                       hidden_size=64, n_layers=2, dropout_rate=0.0,
+                       learning_rate=1e-3, batch_size=64, max_epochs=500,
+                       patience=10, lr_decay=0.0):
+    """QMLP training with weights, biases and Adam state as separate
+    per-tensor arrays and whole-tensor Adam updates.
+
+    Draws the same random streams as ``QMLPModel.fit`` (init, shuffle,
+    dropout). Returns (weights, biases, loss_trace, val_aql_trace,
+    early_stop_epoch) with the best-epoch weights restored.
+    """
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    taus = np.array(quantiles)
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    rng = rng_for(seed, 0)
+    sizes = [X.shape[1]] + [hidden_size] * n_layers + [len(quantiles)]
+    weights, biases = [], []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        bound = 1.0 / np.sqrt(fan_in)
+        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+        biases.append(rng.uniform(-bound, bound, size=fan_out))
+
+    def forward(A, drop=None):
+        acts, masks, h = [A], [], A
+        for l in range(n_layers):
+            h = np.maximum(h @ weights[l] + biases[l], 0.0)
+            if drop is not None:
+                mask = drop.random(h.shape) >= dropout_rate
+                h = h * mask / (1.0 - dropout_rate)
+                masks.append(mask)
+            else:
+                masks.append(None)
+            acts.append(h)
+        return h @ weights[-1] + biases[-1], acts, masks
+
+    shuffle_rng = rng_for(seed, 1)
+    dropout_rng = rng_for(seed, 2) if dropout_rate > 0 else None
+    n = X.shape[0]
+    batch = min(batch_size, n)
+    params = [a for pair in zip(weights, biases) for a in pair]
+    m_state = [np.zeros_like(p) for p in params]
+    v_state = [np.zeros_like(p) for p in params]
+    step = 0
+    loss_trace, val_trace = [], []
+    best_val, best_params, best_epoch, wait = np.inf, None, 0, 0
+    for epoch in range(1, max_epochs + 1):
+        lr = learning_rate / (1.0 + lr_decay * (epoch - 1))
+        order = shuffle_rng.permutation(n)
+        epoch_loss = 0.0
+        for lo in range(0, n, batch):
+            idx = order[lo: lo + batch]
+            out, acts, masks = forward(X[idx], dropout_rng)
+            diff = y[idx][:, None] - out
+            losses = np.where(diff >= 0, taus * diff, (taus - 1.0) * diff)
+            epoch_loss += float(losses.mean()) * idx.size
+            g = np.where(diff >= 0, -taus, 1.0 - taus) * (1.0 / losses.size)
+            grads_w = [None] * len(weights)
+            grads_b = [None] * len(biases)
+            grads_w[-1] = acts[-1].T @ g
+            grads_b[-1] = g.sum(axis=0)
+            upstream = g @ weights[-1].T
+            for l in range(n_layers - 1, -1, -1):
+                if masks[l] is not None:
+                    upstream = upstream * masks[l] / (1.0 - dropout_rate)
+                upstream = upstream * (acts[l + 1] > 0)
+                grads_w[l] = acts[l].T @ upstream
+                grads_b[l] = upstream.sum(axis=0)
+                if l > 0:
+                    upstream = upstream @ weights[l].T
+            grads = [a for pair in zip(grads_w, grads_b) for a in pair]
+            step += 1
+            for p, grad, m, v in zip(params, grads, m_state, v_state):
+                m *= b1
+                m += (1 - b1) * grad
+                v *= b2
+                v += (1 - b2) * grad ** 2
+                m_hat = m / (1 - b1 ** step)
+                v_hat = v / (1 - b2 ** step)
+                p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        loss_trace.append(epoch_loss / n)
+        if X_val is not None and y_val is not None and len(y_val):
+            val = aql(y_val, forward(np.asarray(X_val, dtype=float))[0], quantiles)
+            val_trace.append(val)
+            if val < best_val:
+                best_val, best_epoch, wait = val, epoch, 0
+                best_params = [p.copy() for p in params]
+            else:
+                wait += 1
+                if wait >= patience:
+                    break
+    if best_params is not None:
+        for p, bp in zip(params, best_params):
+            p[...] = bp
+    else:
+        best_epoch = len(loss_trace)
+    return weights, biases, loss_trace, val_trace, best_epoch

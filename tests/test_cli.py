@@ -393,3 +393,34 @@ def test_transfer_domains_share_the_selection_cache(tmp_path, monkeypatch):
     assert (cold_sel / "top_features.csv").read_bytes() == top
     assert run_cli("select", "--config", str(cold)) == 0
     assert (cold_sel / "selection.json").read_bytes() == selected
+
+
+def test_transfer_domain_reads_extracted_features(tmp_path, monkeypatch):
+    calls = {"generate": 0}
+    monkeypatch.setattr(synth, "generate", _counting(calls, "generate", synth.generate))
+    extra = dict(
+        transfer={"model_family": "qknn", "budget": 2, "seeds": [0],
+                  # domain A merges to the main synth config, B does not
+                  "domain_a": {"name": "A", "synth": {"liquidity": 15.0}},
+                  "domain_b": {"name": "B", "synth": {"liquidity": 25.0}}},
+        selector={"alpha_grid_size": 3, "max_iter": 200, "stages": 2},
+    )
+    (tmp_path / "warm").mkdir()
+    (tmp_path / "cold").mkdir()
+    warm = write_cfg(tmp_path / "warm", **extra)
+    cold = write_cfg(tmp_path / "cold", **extra)
+
+    # after extract, only domain B is generated; nothing is written for it
+    assert run_cli("extract", "--config", str(warm)) == 0
+    calls["generate"] = 0
+    assert run_cli("transfer", "--config", str(warm)) == 0
+    assert calls["generate"] == 1
+    assert len(list((tmp_path / "warm" / "ws" / "features").iterdir())) == 1
+
+    calls["generate"] = 0
+    assert run_cli("transfer", "--config", str(cold)) == 0
+    assert calls["generate"] == 2
+    assert not (tmp_path / "cold" / "ws" / "features").exists()
+    reports = [(_hash_dir(tmp_path / side / "ws", "transfer") / "reports.json").read_bytes()
+               for side in ("warm", "cold")]
+    assert reports[0] == reports[1]

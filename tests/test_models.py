@@ -6,7 +6,8 @@ from bookcast.models import (LQRModel, QGBTModel, QKNNModel, QMLPModel,
                              load_checkpoint, make_model, save_checkpoint)
 from bookcast.util import pinball_quantile, rng_for, weighted_quantile_geq
 from oracles import (brute_knn_quantiles, brute_qgbt_node_gains,
-                     per_row_knn_predict, pinball_optimal_intercept)
+                     per_row_knn_predict, pinball_optimal_intercept,
+                     reference_qmlp_fit)
 
 Q3 = (0.1, 0.5, 0.9)
 
@@ -365,6 +366,20 @@ def test_qmlp_gradient_check_finite_differences():
                 assert abs(fd - g[idx]) / denom < 1e-4
 
 
+def test_qmlp_loss_and_grads_returns_fresh_arrays():
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(10, 4))
+    y = rng.normal(size=10)
+    m = QMLPModel(Q3, seed=5, hidden_size=6, n_layers=2)
+    m._init_params(4)
+    _, first = m.loss_and_grads(X, y)
+    kept = [g.copy() for g in first]
+    _, second = m.loss_and_grads(-X, y + 1.0)
+    for g, k in zip(first, kept):
+        assert np.array_equal(g, k)
+        assert not any(np.shares_memory(g, p) for p in second + m.parameters())
+
+
 def test_qmlp_early_stopping_restores_best():
     rng = np.random.default_rng(14)
     X = rng.normal(size=(100, 3))
@@ -390,6 +405,62 @@ def test_qmlp_deterministic():
     b = QMLPModel(Q3, seed=9, **cfg)
     b.fit(X, y)
     assert np.array_equal(a.predict(X), b.predict(X))
+
+
+def _qmlp_cases():
+    """Fuzzed configurations: dropout, lr_decay, batch below and above n,
+    early stops, runs without a validation set, and networks spanning
+    several Adam blocks."""
+    rng = np.random.default_rng(31)
+    for case in range(24):
+        n, d = int(rng.integers(5, 60)), int(rng.integers(1, 10))
+        cfg = dict(hidden_size=int(rng.integers(1, 24)), n_layers=int(rng.integers(1, 4)),
+                   dropout_rate=float(rng.choice([0.0, 0.25])),
+                   learning_rate=float(rng.choice([1e-3, 3e-2])),
+                   batch_size=int(rng.integers(1, 70)), max_epochs=int(rng.integers(1, 15)),
+                   patience=int(rng.integers(1, 4)), lr_decay=float(rng.choice([0.0, 0.2])))
+        yield case, n, d, cfg, case % 4 != 0
+    for case, (hidden, layers, d) in enumerate([(190, 2, 40), (128, 3, 60)], start=24):
+        yield case, 50, d, dict(hidden_size=hidden, n_layers=layers, dropout_rate=0.2,
+                                learning_rate=1e-2, batch_size=16, max_epochs=4,
+                                patience=1, lr_decay=0.1), True
+
+
+@pytest.mark.parametrize("case,n,d,cfg,with_val", list(_qmlp_cases()))
+def test_qmlp_fit_matches_per_tensor_adam_bit_for_bit(case, n, d, cfg, with_val):
+    rng = np.random.default_rng(case)
+    X = rng.normal(size=(n, d))
+    y = X[:, 0] + rng.normal(size=n)
+    X_val, y_val = (rng.normal(size=(9, d)), rng.normal(size=9)) if with_val else (None, None)
+    model = QMLPModel(Q3, seed=case, **cfg)
+    report = model.fit(X, y, X_val, y_val)
+    weights, biases, loss_trace, val_trace, best_epoch = reference_qmlp_fit(
+        Q3, case, X, y, X_val, y_val, **cfg)
+    arrays = model.state()[1]
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        assert arrays[f"W{i}"].tobytes() == w.tobytes()
+        assert arrays[f"b{i}"].tobytes() == b.tobytes()
+    assert report.loss_trace == loss_trace
+    assert report.val_aql_trace == val_trace
+    assert report.early_stop_epoch == best_epoch
+
+
+def test_qmlp_fit_peak_memory_is_few_parameter_vectors():
+    """Parameters, gradient, both Adam moments and the best-epoch snapshot
+    are one flat vector each; nothing parameter-sized is allocated per step."""
+    import tracemalloc
+    rng = np.random.default_rng(16)
+    X = rng.normal(size=(100, 50))
+    y = rng.normal(size=100)
+    model = QMLPModel(Q3, seed=0, hidden_size=600, n_layers=4, max_epochs=3)
+    tracemalloc.start()
+    try:
+        model.fit(X, y, X, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    param_bytes = sum(p.nbytes for p in model.parameters())
+    assert peak < 6 * param_bytes
 
 
 def test_qmlp_aborts_on_divergence():
