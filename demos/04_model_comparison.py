@@ -1,9 +1,9 @@
 """Benchmark the four quantile model families on one synthetic dataset.
 
 Each family is tuned with a small random hyperparameter search on
-validation AQL, refit with the winning configuration, and scored on the
-test split: AQL and quantile-crossing rate for the probabilistic view,
-RMSE/MAE/R2 on the median head for the pointwise view.
+validation AQL; the best trial's fitted model is scored on the test split:
+AQL and quantile-crossing rate for the probabilistic view, RMSE/MAE/R2 on
+the median head for the pointwise view.
 """
 
 import datetime as dt

@@ -34,7 +34,7 @@ from .experiment import (NAIVE_FEATURE_SETS, apply_prep, design_matrix,
                          run_experiment)
 from .features import FEATURE_NAMES
 from .market import ProductSpec, SplitBoundaries, split_dataset
-from .metrics import MetricReport, evaluate, format_mean_std, summarize_runs
+from .metrics import MetricReport, evaluate, summarize_runs, summary_cells
 from .models import load_checkpoint, save_checkpoint
 from .search import write_trials_jsonl
 from .selection import (SelectionResult, SolverConfig, default_alpha_grid,
@@ -125,8 +125,16 @@ def load_config(path: Optional[str], overrides: Dict[str, object]) -> dict:
         if not p.exists():
             raise ConfigError(f"config file not found: {path}")
         text = p.read_text()
-        loaded = yaml.safe_load(text) if p.suffix in (".yaml", ".yml") \
-            else json.loads(text)
+        try:
+            loaded = yaml.safe_load(text) if p.suffix in (".yaml", ".yml") \
+                else json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}, line {exc.lineno}: {exc.msg}") from None
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = f", line {mark.line + 1}" if mark is not None else ""
+            problem = getattr(exc, "problem", None) or exc
+            raise ConfigError(f"{path}{where}: {problem}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config root must be a mapping")
         cfg = _merge(cfg, loaded)
@@ -432,12 +440,7 @@ def cmd_evaluate(run: Run) -> Path:
                          {"family": family, "per_seed": per_seed, "summary": summary})
     run.write_csv("metrics", "metrics.csv",
                   ["family", "AQL", "AQCR", "RMSE", "MAE", "R2"],
-                  [[family,
-                    format_mean_std(**summary["aql"]),
-                    format_mean_std(**summary["aqcr"], as_percent=True),
-                    format_mean_std(**summary["rmse"]),
-                    format_mean_std(**summary["mae"]),
-                    format_mean_std(**summary["r2"])]])
+                  [[family, *summary_cells(summary)]])
     log.info("metrics for %s written to %s", family, out.parent)
     return out
 
@@ -471,13 +474,7 @@ def cmd_transfer(run: Run) -> Path:
     })
     run.write_csv("transfer", "table.csv",
                   ["strategy", "AQL", "AQCR", "RMSE", "MAE", "R2", "loss_ratio"],
-                  [[s,
-                    format_mean_std(**pair.summary[s]["aql"]),
-                    format_mean_std(**pair.summary[s]["aqcr"], as_percent=True),
-                    format_mean_std(**pair.summary[s]["rmse"]),
-                    format_mean_std(**pair.summary[s]["mae"]),
-                    format_mean_std(**pair.summary[s]["r2"]),
-                    repr(pair.loss_ratio[s])]
+                  [[s, *summary_cells(pair.summary[s]), repr(pair.loss_ratio[s])]
                    for s in pair.summary])
     run.write_csv("transfer", "scatter.csv",
                   ["target", "source", "trade_count_ratio", "loss_ratio"],

@@ -9,7 +9,7 @@ pinball-consistent point estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -129,6 +129,9 @@ def evaluate(y, yhat: np.ndarray, quantiles: Sequence[float]) -> MetricReport:
     )
 
 
+SUMMARY_FIELDS = ("aql", "aqcr", "rmse", "mae", "r2")
+
+
 def format_mean_std(mean: float, std: float, as_percent: bool = False) -> str:
     """'m±s' cell formatting; AQCR cells are shown as percent."""
     if as_percent:
@@ -136,12 +139,19 @@ def format_mean_std(mean: float, std: float, as_percent: bool = False) -> str:
     return f"{mean:.2f}±{std:.2f}"
 
 
+def summary_cells(summary: dict) -> List[str]:
+    """'m±s' cells of a ``summarize_runs`` summary, in ``SUMMARY_FIELDS``
+    order (the AQL, AQCR, RMSE, MAE, R2 table columns), AQCR in percent."""
+    return [format_mean_std(**summary[f], as_percent=f == "aqcr")
+            for f in SUMMARY_FIELDS]
+
+
 def summarize_runs(reports: Sequence[MetricReport]) -> dict:
     """Mean and std (population) of each metric over repeated runs."""
     if not reports:
         raise ValueError("no reports to summarize")
     out = {}
-    for field in ("aql", "aqcr", "rmse", "mae", "r2"):
+    for field in SUMMARY_FIELDS:
         vals = np.array([getattr(r, field) for r in reports], dtype=float)
         out[field] = {"mean": float(vals.mean()), "std": float(vals.std())}
     return out

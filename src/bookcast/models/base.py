@@ -4,6 +4,13 @@ Every family exposes fit(X, y, X_val, y_val) -> TrainReport and
 predict(X) -> (N, |Q|) with columns ordered by ascending quantile level.
 Predicted quantiles may cross; crossing is measured downstream, never
 clipped away here.
+
+The base class owns the contract's shared half: input coercion, the
+fitted check and the checkpoint meta. A family implements its math and
+its ``config()`` through four hooks: ``_fit`` and ``_predict`` receive
+coerced float matrices, ``_state`` returns the family's extra meta and its
+parameter arrays, and ``_restore`` installs those arrays on a model built
+from the checkpointed config.
 """
 
 from __future__ import annotations
@@ -21,11 +28,10 @@ class TrainReport:
     loss_trace: List[float] = field(default_factory=list)
     val_aql_trace: List[float] = field(default_factory=list)
     early_stop_epoch: Optional[int] = None
-    wall_time: float = 0.0
 
 
 class QuantileModel:
-    """Base class; subclasses set ``family`` and implement the contract."""
+    """Base class; subclasses set ``family`` and implement the hooks."""
 
     family: str = ""
 
@@ -37,25 +43,57 @@ class QuantileModel:
             raise ValueError("quantiles must lie in (0, 1)")
         self.quantiles: Tuple[float, ...] = q
         self.seed = int(seed)
+        self._fitted = False
 
     def fit(self, X: np.ndarray, y: np.ndarray,
             X_val: Optional[np.ndarray] = None,
             y_val: Optional[np.ndarray] = None) -> TrainReport:
-        raise NotImplementedError
+        """Train on (X, y); the model counts as fitted only once ``_fit``
+        returns, so a fit that raises leaves nothing to predict with."""
+        self._fitted = False
+        report = self._fit(self._check_matrix(X), np.asarray(y, dtype=float),
+                           X_val, y_val)
+        self._fitted = True
+        return report
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        self._require_fitted()
+        return self._predict(self._check_matrix(X))
 
     def config(self) -> dict:
         raise NotImplementedError
 
     def state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
         """(meta, arrays) snapshot sufficient to reproduce predictions."""
-        raise NotImplementedError
+        self._require_fitted()
+        extra, arrays = self._state()
+        meta = {"family": self.family, "quantiles": list(self.quantiles),
+                "seed": self.seed, "config": self.config(), **extra}
+        return meta, arrays
 
     @classmethod
     def from_state(cls, meta: dict, arrays: Dict[str, np.ndarray]) -> "QuantileModel":
+        model = cls(meta["quantiles"], seed=meta["seed"], **meta["config"])
+        model._restore(meta, arrays)
+        model._fitted = True
+        return model
+
+    def _fit(self, X: np.ndarray, y: np.ndarray, X_val, y_val) -> TrainReport:
         raise NotImplementedError
+
+    def _predict(self, X: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
+        """(extra meta, parameter arrays) of a fitted model."""
+        raise NotImplementedError
+
+    def _restore(self, meta: dict, arrays: Dict[str, np.ndarray]) -> None:
+        raise NotImplementedError
+
+    def _require_fitted(self) -> None:
+        if not self._fitted:
+            raise RuntimeError("model is not fitted")
 
     def _check_matrix(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)

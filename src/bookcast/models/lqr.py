@@ -7,7 +7,6 @@ the same shrinkage effect regardless of dataset size.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -29,10 +28,7 @@ class LQRModel(QuantileModel):
         self._beta: Optional[np.ndarray] = None      # (|Q|, D)
         self._intercept: Optional[np.ndarray] = None
 
-    def fit(self, X, y, X_val=None, y_val=None) -> TrainReport:
-        t0 = time.perf_counter()
-        X = self._check_matrix(X)
-        y = np.asarray(y, dtype=float)
+    def _fit(self, X, y, X_val, y_val) -> TrainReport:
         betas = []
         intercepts = []
         final_objectives = []
@@ -43,28 +39,17 @@ class LQRModel(QuantileModel):
             final_objectives.append(fit.objective_trace[-1])
         self._beta = np.vstack(betas) if betas else np.empty((0, X.shape[1]))
         self._intercept = np.array(intercepts)
-        return TrainReport(loss_trace=final_objectives,
-                           wall_time=time.perf_counter() - t0)
+        return TrainReport(loss_trace=final_objectives)
 
-    def predict(self, X) -> np.ndarray:
-        if self._beta is None:
-            raise RuntimeError("model is not fitted")
-        X = self._check_matrix(X)
+    def _predict(self, X) -> np.ndarray:
         return X @ self._beta.T + self._intercept
 
     def config(self) -> dict:
         return {"l1_weight": self.l1_weight}
 
-    def state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
-        if self._beta is None:
-            raise RuntimeError("model is not fitted")
-        meta = {"family": self.family, "quantiles": list(self.quantiles),
-                "seed": self.seed, "config": self.config()}
-        return meta, {"beta": self._beta, "intercept": self._intercept}
+    def _state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
+        return {}, {"beta": self._beta, "intercept": self._intercept}
 
-    @classmethod
-    def from_state(cls, meta, arrays) -> "LQRModel":
-        model = cls(meta["quantiles"], seed=meta["seed"], **meta["config"])
-        model._beta = arrays["beta"]
-        model._intercept = arrays["intercept"]
-        return model
+    def _restore(self, meta, arrays) -> None:
+        self._beta = arrays["beta"]
+        self._intercept = arrays["intercept"]

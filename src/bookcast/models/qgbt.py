@@ -16,7 +16,6 @@ rate is applied.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -186,10 +185,7 @@ class QGBTModel(QuantileModel):
                      np.array(right, dtype=np.intp),
                      np.array(value, dtype=float))
 
-    def fit(self, X, y, X_val=None, y_val=None) -> TrainReport:
-        t0 = time.perf_counter()
-        X = self._check_matrix(X)
-        y = np.asarray(y, dtype=float)
+    def _fit(self, X, y, X_val, y_val) -> TrainReport:
         n, d = X.shape
         edges, binned = self._bin_features(X)
         n_sub = max(1, int(round(self.subsample * n)))
@@ -214,13 +210,9 @@ class QGBTModel(QuantileModel):
                 self._trees[qi].append(tree)
                 pred += tree.apply(X)
                 traces[qi, m] = float(np.mean(pinball(y, pred, tau)))
-        return TrainReport(loss_trace=list(traces.mean(axis=0)),
-                           wall_time=time.perf_counter() - t0)
+        return TrainReport(loss_trace=list(traces.mean(axis=0)))
 
-    def predict(self, X) -> np.ndarray:
-        if self._trees is None:
-            raise RuntimeError("model is not fitted")
-        X = self._check_matrix(X)
+    def _predict(self, X) -> np.ndarray:
         out = np.empty((X.shape[0], len(self.quantiles)))
         for qi in range(len(self.quantiles)):
             pred = np.full(X.shape[0], self._base[qi])
@@ -236,32 +228,22 @@ class QGBTModel(QuantileModel):
                 "reg_alpha": self.reg_alpha, "reg_lambda": self.reg_lambda,
                 "max_bins": self.max_bins}
 
-    def state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
-        if self._trees is None:
-            raise RuntimeError("model is not fitted")
-        meta = {"family": self.family, "quantiles": list(self.quantiles),
-                "seed": self.seed, "config": self.config(),
-                "trees_per_tau": [len(ts) for ts in self._trees]}
+    def _state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
         arrays: Dict[str, np.ndarray] = {"base": self._base}
         chunks = {k: [] for k in ("feature", "threshold", "left", "right", "value")}
         starts = [0]
         for ts in self._trees:
             for tree in ts:
-                chunks["feature"].append(tree.feature)
-                chunks["threshold"].append(tree.threshold)
-                chunks["left"].append(tree.left)
-                chunks["right"].append(tree.right)
-                chunks["value"].append(tree.value)
+                for k, parts in chunks.items():
+                    parts.append(getattr(tree, k))
                 starts.append(starts[-1] + tree.feature.size)
         for k, parts in chunks.items():
             arrays[k] = np.concatenate(parts) if parts else np.empty(0)
         arrays["tree_start"] = np.array(starts, dtype=np.int64)
-        return meta, arrays
+        return {"trees_per_tau": [len(ts) for ts in self._trees]}, arrays
 
-    @classmethod
-    def from_state(cls, meta, arrays) -> "QGBTModel":
-        model = cls(meta["quantiles"], seed=meta["seed"], **meta["config"])
-        model._base = arrays["base"]
+    def _restore(self, meta, arrays) -> None:
+        self._base = arrays["base"]
         starts = arrays["tree_start"]
         flat: List[_Tree] = []
         for i in range(starts.size - 1):
@@ -271,9 +253,8 @@ class QGBTModel(QuantileModel):
                               arrays["left"][lo:hi].astype(np.intp),
                               arrays["right"][lo:hi].astype(np.intp),
                               arrays["value"][lo:hi]))
-        model._trees = []
+        self._trees = []
         pos = 0
         for count in meta["trees_per_tau"]:
-            model._trees.append(flat[pos: pos + count])
+            self._trees.append(flat[pos: pos + count])
             pos += count
-        return model

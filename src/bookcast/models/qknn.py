@@ -9,7 +9,6 @@ index for determinism.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -40,16 +39,13 @@ class QKNNModel(QuantileModel):
         self._X: Optional[np.ndarray] = None
         self._y: Optional[np.ndarray] = None
 
-    def fit(self, X, y, X_val=None, y_val=None) -> TrainReport:
-        t0 = time.perf_counter()
-        X = self._check_matrix(X)
-        y = np.asarray(y, dtype=float)
+    def _fit(self, X, y, X_val, y_val) -> TrainReport:
         if self.n_neighbors > X.shape[0]:
             raise ValueError(
                 f"n_neighbors={self.n_neighbors} exceeds training size {X.shape[0]}")
         self._X = X.copy()
         self._y = y.copy()
-        return TrainReport(loss_trace=[0.0], wall_time=time.perf_counter() - t0)
+        return TrainReport(loss_trace=[0.0])
 
     def _distances(self, X: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         if self.metric == "euclidean":
@@ -64,11 +60,9 @@ class QKNNModel(QuantileModel):
         np.abs(diff, out=diff)
         return np.sum(diff, axis=2)
 
-    def predict(self, X) -> np.ndarray:
-        if self._X is None:
-            raise RuntimeError("model is not fitted")
+    def _predict(self, X) -> np.ndarray:
         # column-indexed design matrices arrive F-ordered; rows must be contiguous
-        X = np.ascontiguousarray(self._check_matrix(X))
+        X = np.ascontiguousarray(X)
         taus = np.array(self.quantiles)
         k = self.n_neighbors
         out = np.empty((X.shape[0], taus.size))
@@ -101,16 +95,9 @@ class QKNNModel(QuantileModel):
         return {"n_neighbors": self.n_neighbors, "metric": self.metric,
                 "weights": self.weights}
 
-    def state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
-        if self._X is None:
-            raise RuntimeError("model is not fitted")
-        meta = {"family": self.family, "quantiles": list(self.quantiles),
-                "seed": self.seed, "config": self.config()}
-        return meta, {"X": self._X, "y": self._y}
+    def _state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
+        return {}, {"X": self._X, "y": self._y}
 
-    @classmethod
-    def from_state(cls, meta, arrays) -> "QKNNModel":
-        model = cls(meta["quantiles"], seed=meta["seed"], **meta["config"])
-        model._X = arrays["X"]
-        model._y = arrays["y"]
-        return model
+    def _restore(self, meta, arrays) -> None:
+        self._X = arrays["X"]
+        self._y = arrays["y"]

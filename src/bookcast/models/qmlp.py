@@ -16,7 +16,6 @@ best epoch) and allocates none of them per step.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -178,11 +177,11 @@ class QMLPModel(QuantileModel):
             params.extend([w, b])
         return params
 
-    def fit(self, X, y, X_val=None, y_val=None) -> TrainReport:
-        t0 = time.perf_counter()
-        X = self._check_matrix(X)
-        y = np.asarray(y, dtype=float)
+    def _fit(self, X, y, X_val, y_val) -> TrainReport:
         n = X.shape[0]
+        validate = X_val is not None and y_val is not None and len(y_val) > 0
+        if validate:
+            X_val = self._check_matrix(X_val)
         self._init_params(X.shape[1])
         shuffle_rng = rng_for(self.seed, 1)
         dropout_rng = rng_for(self.seed, 2)
@@ -222,8 +221,8 @@ class QMLPModel(QuantileModel):
                 _adam_step(params, grad, m_state, v_state, scratch, lr, step)
 
             report.loss_trace.append(epoch_loss / n)
-            if X_val is not None and y_val is not None and len(y_val):
-                val_aql = aql(y_val, self.predict(X_val), self.quantiles)
+            if validate:
+                val_aql = aql(y_val, self._predict(X_val), self.quantiles)
                 report.val_aql_trace.append(val_aql)
                 if val_aql < best_val:
                     best_val = val_aql
@@ -242,14 +241,10 @@ class QMLPModel(QuantileModel):
             report.early_stop_epoch = best_epoch
         else:
             report.early_stop_epoch = len(report.loss_trace)
-        report.wall_time = time.perf_counter() - t0
         return report
 
-    def predict(self, X) -> np.ndarray:
-        if self._weights is None:
-            raise RuntimeError("model is not fitted")
-        out, _ = self._forward(self._check_matrix(X))
-        return out
+    def _predict(self, X) -> np.ndarray:
+        return self._forward(X)[0]
 
     def config(self) -> dict:
         return {"hidden_size": self.hidden_size, "n_layers": self.n_layers,
@@ -258,22 +253,14 @@ class QMLPModel(QuantileModel):
                 "batch_size": self.batch_size, "max_epochs": self.max_epochs,
                 "patience": self.patience, "lr_decay": self.lr_decay}
 
-    def state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
-        if self._weights is None:
-            raise RuntimeError("model is not fitted")
-        meta = {"family": self.family, "quantiles": list(self.quantiles),
-                "seed": self.seed, "config": self.config(),
-                "n_layers_total": len(self._weights)}
+    def _state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
         arrays = {}
         for i, (w, b) in enumerate(zip(self._weights, self._biases)):
             arrays[f"W{i}"] = w
             arrays[f"b{i}"] = b
-        return meta, arrays
+        return {"n_layers_total": len(self._weights)}, arrays
 
-    @classmethod
-    def from_state(cls, meta, arrays) -> "QMLPModel":
-        model = cls(meta["quantiles"], seed=meta["seed"], **meta["config"])
+    def _restore(self, meta, arrays) -> None:
         total = meta["n_layers_total"]
-        model._weights = [arrays[f"W{i}"] for i in range(total)]
-        model._biases = [arrays[f"b{i}"] for i in range(total)]
-        return model
+        self._weights = [arrays[f"W{i}"] for i in range(total)]
+        self._biases = [arrays[f"b{i}"] for i in range(total)]

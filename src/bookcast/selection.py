@@ -242,7 +242,7 @@ class SelectionResult:
     quantiles: Tuple[float, ...]
     feature_names: Tuple[str, ...]
     per_tau_selected: Dict[float, List[str]]
-    per_tau_coef: Dict[float, Dict[str, float]]
+    per_tau_coef: Dict[float, Dict[str, float]]  # selected features only
     alpha_per_tau: Dict[float, float]
     union: List[str] = field(default_factory=list)
     importance: Dict[str, float] = field(default_factory=dict)
@@ -262,11 +262,7 @@ class SelectionResult:
 
     @classmethod
     def from_dict(cls, payload: dict, feature_names: Sequence[str]) -> "SelectionResult":
-        """Inverse of ``to_dict`` over the universe ``feature_names``.
-
-        The payload stores coefficients of selected features only, so
-        ``per_tau_coef`` holds those.
-        """
+        """Inverse of ``to_dict`` over the universe ``feature_names``."""
         taus = tuple(float(t) for t in payload["quantiles"])
         selected = {float(t): entries for t, entries in payload["selected"].items()}
         alphas = {float(t): a for t, a in payload["alpha_per_tau"].items()}
@@ -283,12 +279,12 @@ class SelectionResult:
 
 
 def select_features(fits_per_tau: Dict[float, L1QuantileFit],
-                    feature_names: Sequence[str],
-                    zero_threshold: float = ZERO_THRESHOLD) -> SelectionResult:
+                    feature_names: Sequence[str]) -> SelectionResult:
     """Read the per-quantile sparse supports and aggregate importance.
 
     A feature is selected at tau when its standardized coefficient exceeds
-    the zero threshold in magnitude; importance sums |coefficient| over all
+    ``ZERO_THRESHOLD`` in magnitude; ``per_tau_coef`` keeps the selected
+    coefficients only. Importance sums |coefficient| over all features and
     quantile levels.
     """
     names = tuple(feature_names)
@@ -301,8 +297,8 @@ def select_features(fits_per_tau: Dict[float, L1QuantileFit],
         if len(fit.beta) != len(names):
             raise ValueError("fit dimensionality does not match the feature universe")
         coef = {n: float(c) for n, c in zip(names, fit.beta)}
-        per_tau_coef[tau] = coef
-        per_tau_selected[tau] = [n for n in names if abs(coef[n]) > zero_threshold]
+        per_tau_selected[tau] = [n for n in names if abs(coef[n]) > ZERO_THRESHOLD]
+        per_tau_coef[tau] = {n: coef[n] for n in per_tau_selected[tau]}
         for n in names:
             importance[n] += abs(coef[n])
     union = [n for n in names

@@ -156,6 +156,21 @@ def test_missing_config_file_exits_2(tmp_path):
     assert run_cli("synth", "--config", str(tmp_path / "nope.yaml")) == 2
 
 
+@pytest.mark.parametrize("name,text,line", [
+    ("bad.json", '{"seed": 1,,}', 1),
+    ("bad.json", '{\n  "seed": 1,\n  "seeds": [0, 1\n}\n', 4),
+    ("bad.yaml", "seed: 1\nseeds: [0, 1\nmarket: DE\n", 3),
+], ids=["json-double-comma", "json-unclosed-list", "yaml-unclosed-list"])
+def test_malformed_config_exits_2_with_line(tmp_path, capsys, name, text, line):
+    path = tmp_path / name
+    path.write_text(text)
+    assert run_cli("synth", "--config", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert str(path) in err and f"line {line}:" in err
+    assert "Traceback" not in err
+
+
 def test_flag_overrides_change_hash(tmp_path):
     cfg = write_cfg(tmp_path)
     run_cli("synth", "--config", str(cfg))

@@ -1,5 +1,6 @@
-"""The first two demos run end to end; they slice and filter a synthetic
-trade table through its sequence interface."""
+"""Every demo runs end to end. The first two slice and filter a synthetic
+trade table through its sequence interface; the fourth is the only script
+outside the tests that drives all four model families."""
 
 import os
 import subprocess
@@ -11,7 +12,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["01_synthetic_market.py", "02_feature_extraction.py"])
+@pytest.mark.parametrize("demo", ["01_synthetic_market.py", "02_feature_extraction.py",
+                                  "03_feature_selection.py", "04_model_comparison.py",
+                                  "05_transfer_asymmetry.py"])
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

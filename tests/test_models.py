@@ -503,3 +503,65 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     np.savez(path, a=np.zeros(3))
     with pytest.raises((ValueError, KeyError)):
         load_checkpoint(path)
+
+
+# ---------------------------------------------------------------- shared contract
+
+SMALL_CFGS = [
+    ("lqr", {"l1_weight": 0.01}),
+    ("qknn", {"n_neighbors": 4, "weights": "distance"}),
+    ("qgbt", {"n_estimators": 4, "max_depth": 2, "subsample": 0.8}),
+    ("qmlp", {"hidden_size": 8, "n_layers": 2, "max_epochs": 5}),
+]
+
+
+def test_families_inherit_the_contract():
+    from bookcast.models import FAMILIES, QuantileModel
+    for cls in FAMILIES.values():
+        for name in ("fit", "predict", "state"):
+            assert getattr(cls, name) is getattr(QuantileModel, name), (cls, name)
+        assert cls.from_state.__func__ is QuantileModel.from_state.__func__, cls
+
+
+@pytest.mark.parametrize("family,cfg", SMALL_CFGS)
+def test_unfitted_model_refuses_predict_and_state(family, cfg):
+    model = make_model(family, Q3, seed=0, **cfg)
+    with pytest.raises(RuntimeError, match="model is not fitted"):
+        model.predict(np.zeros((2, 3)))
+    with pytest.raises(RuntimeError, match="model is not fitted"):
+        model.state()
+
+
+def test_qmlp_diverged_fit_leaves_model_unfitted():
+    X = np.full((20, 2), 1e308)
+    y = np.ones(20)
+    m = QMLPModel(Q3, hidden_size=8, learning_rate=1e-1, max_epochs=50)
+    with pytest.raises(RuntimeError, match="non-finite"):
+        m.fit(X, y)
+    with pytest.raises(RuntimeError, match="model is not fitted"):
+        m.predict(np.zeros((3, 2)))
+    # a failed refit also discards the earlier fit's weights
+    m.fit(np.ones((20, 2)), y)
+    assert m.predict(np.zeros((3, 2))).shape == (3, 3)
+    with pytest.raises(RuntimeError, match="non-finite"):
+        m.fit(X, y)
+    with pytest.raises(RuntimeError, match="model is not fitted"):
+        m.state()
+
+
+@pytest.mark.parametrize("with_val", [False, True])
+@pytest.mark.parametrize("family,cfg", SMALL_CFGS)
+def test_state_survives_from_state(family, cfg, with_val):
+    rng = np.random.default_rng(18)
+    X, y = rng.normal(size=(40, 3)), rng.normal(size=40)
+    val = (rng.normal(size=(9, 3)), rng.normal(size=9)) if with_val else (None, None)
+    model = make_model(family, Q3, seed=4, **cfg)
+    model.fit(X, y, *val)
+    meta, arrays = model.state()
+    assert meta["family"] == family and meta["config"] == model.config()
+    meta2, arrays2 = type(model).from_state(meta, arrays).state()
+    assert meta2 == meta
+    assert sorted(arrays2) == sorted(arrays)
+    for key, a in arrays.items():
+        b = arrays2[key]
+        assert (b.dtype, b.shape, b.tobytes()) == (a.dtype, a.shape, a.tobytes()), key

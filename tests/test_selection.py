@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from bookcast.metrics import pinball
 from bookcast.selection import (L1QuantileFit, default_alpha_grid,
                                 fit_l1_lqr, importance_breakdown, objective,
                                 select_features, standardize, top_k, tune_alpha)
+from bookcast.selection import SelectionResult
 from bookcast.util import pinball_quantile
 from oracles import brute_objective, grid_search_l1_lqr, pinball_optimal_intercept
 
@@ -274,3 +277,18 @@ def test_top_k_ties_break_by_name():
     res = select_features(fits, FEATURE_NAMES)
     names, _ = top_k(res, 0.5, 2)
     assert names == ["vwap|buy|1", "vwap|sell|1"]
+
+
+def test_selection_result_round_trips_through_json():
+    fits = {
+        0.1: _fit_with({"vwap|buy|15": 1 / 3, "momentum|sell|1": 1e-9}, 0.1, 0.37),
+        0.5: _fit_with({}, 0.5, 1e-8),
+        0.9: _fit_with({"max_price|sell|60": -0.25, "vwap|buy|15": 2 ** -20}, 0.9, 0.1),
+    }
+    sel = select_features(fits, FEATURE_NAMES)
+    # coefficient dust counts towards importance but is not kept per tau
+    assert sel.per_tau_coef == {0.1: {"vwap|buy|15": 1 / 3}, 0.5: {},
+                                0.9: {"max_price|sell|60": -0.25}}
+    assert sel.importance["momentum|sell|1"] == 1e-9
+    payload = json.loads(json.dumps(sel.to_dict(), sort_keys=True))
+    assert SelectionResult.from_dict(payload, FEATURE_NAMES) == sel
