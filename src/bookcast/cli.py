@@ -1,8 +1,11 @@
 """Command-line orchestration of the full pipeline.
 
 A single declarative YAML/JSON config drives every command; selected flags
-override individual fields. Outputs land under
-``workspace/{synth,features,selection,models,metrics,transfer}/<key>/``,
+override individual fields. ``load_config`` merges the file and the flags
+onto ``DEFAULT_CONFIG``, and ``Run`` parses every value once: a value that
+does not parse, or that the type consuming it rejects, is a config error
+naming its dotted field, raised before any command does work. Outputs land
+under ``workspace/{synth,features,selection,models,metrics,transfer}/<key>/``,
 where an area's key hashes only the config fields its outputs depend on
 (``STAGE_FIELDS``): changing a model setting reuses the synth, features and
 selection directories, and reruns with the same fields overwrite identical
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime as dt
 import json
 import logging
@@ -23,7 +27,7 @@ import sys
 import zoneinfo
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import yaml
@@ -35,12 +39,12 @@ from .experiment import (NAIVE_FEATURE_SETS, apply_prep, design_matrix,
 from .features import FEATURE_NAMES
 from .market import ProductSpec, SplitBoundaries, split_dataset
 from .metrics import MetricReport, evaluate, summarize_runs, summary_cells
-from .models import load_checkpoint, save_checkpoint
+from .models import FAMILIES, load_checkpoint, save_checkpoint
 from .search import write_trials_jsonl
 from .selection import (SelectionResult, SolverConfig, default_alpha_grid,
                         importance_breakdown, top_k, top_k_union)
-from .transfer import (STRATEGIES, check_strategies, domain_from_split,
-                       ensure_selection, run_pair, sweep_point)
+from .transfer import (FEATURE_MODES, STRATEGIES, check_strategies,
+                       domain_from_split, ensure_selection, run_pair, sweep_point)
 from .util import UTC, config_hash, file_sha256, parse_timestamp
 
 log = logging.getLogger("bookcast")
@@ -109,11 +113,13 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config field {where!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict) and base[key]:
+        if isinstance(base[key], dict) and base[key]:
+            if not isinstance(value, dict):
+                raise ConfigError(f"field {where!r} must be a mapping")
             out[key] = _merge(base[key], value, where)
         else:
             # empty-dict defaults mark free-form sections (model configs,
-            # per-domain overrides); their keys are validated downstream
+            # per-domain overrides); Run checks what they hold
             out[key] = value
     return out
 
@@ -138,37 +144,7 @@ def load_config(path: Optional[str], overrides: Dict[str, object]) -> dict:
         if not isinstance(loaded, dict):
             raise ConfigError("config root must be a mapping")
         cfg = _merge(cfg, loaded)
-    cfg = _merge(cfg, {k: v for k, v in overrides.items() if v is not None})
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: dict) -> None:
-    try:
-        tzinfo = _tz(cfg["tz"])
-    except zoneinfo.ZoneInfoNotFoundError:
-        raise ConfigError(f"unknown timezone in field 'tz': {cfg['tz']!r}") from None
-    for fld in ("horizon_start", "horizon_end", "train_end", "val_end", "test_end"):
-        try:
-            parse_timestamp(str(cfg[fld]), tzinfo)
-        except ValueError:
-            raise ConfigError(f"field {fld!r} is not a valid timestamp: {cfg[fld]!r}") from None
-    if cfg["trades_csv"] is not None and not Path(cfg["trades_csv"]).exists():
-        raise ConfigError(f"field 'trades_csv' points to a missing file: {cfg['trades_csv']}")
-    if cfg["model"]["feature_set"] not in ("top5", "full", "naive1", "naive2"):
-        raise ConfigError("field 'model.feature_set' must be top5|full|naive1|naive2")
-    if not cfg["seeds"]:
-        raise ConfigError("field 'seeds' must list at least one seed")
-    if int(cfg["jobs"]) < 1:
-        raise ConfigError("field 'jobs' must be at least 1")
-    try:
-        ProductSpec(market=cfg["market"], product_type=cfg["product_type"])
-    except ValueError as exc:
-        raise ConfigError(f"fields 'market'/'product_type': {exc}") from None
-    try:
-        check_strategies(cfg["transfer"]["strategies"])
-    except ValueError as exc:
-        raise ConfigError(f"field 'transfer.strategies': {exc}") from None
+    return _merge(cfg, {k: v for k, v in overrides.items() if v is not None})
 
 
 # The config fields each workspace area's outputs depend on; each area keeps
@@ -189,41 +165,120 @@ STAGE_FIELDS: Dict[str, tuple] = {
 }
 
 
-def _tz(name: str) -> dt.tzinfo:
-    return UTC if name.upper() == "UTC" else zoneinfo.ZoneInfo(name)
+def _tz(name) -> dt.tzinfo:
+    return UTC if str(name).upper() == "UTC" else zoneinfo.ZoneInfo(str(name))
+
+
+def _read(field: str, parse, *args):
+    """``parse(*args)``; a value it rejects is a ConfigError naming ``field``."""
+    try:
+        return parse(*args)
+    except (TypeError, ValueError, OverflowError, KeyError) as exc:
+        raise ConfigError(f"field {field!r}: {exc}") from None
+
+
+def _must(ok: bool, value, need: str):
+    if not ok:
+        raise ValueError(f"must be {need}, got {value!r}")
+    return value
+
+
+def _count(value) -> int:
+    return _must(int(value) >= 1, int(value), "at least 1")
+
+
+def _one_of(options):
+    return lambda value: _must(value in options, value, "one of " + " | ".join(options))
+
+
+def _seeds(value) -> List[int]:
+    return [int(s) for s in _must(isinstance(value, list) and len(value) > 0,
+                                  value, "a non-empty list of seeds")]
+
+
+def _levels(value) -> Tuple[float, ...]:
+    q = tuple(float(v) for v in value)
+    # evaluate reads the 0.5 head, and the coverage ratio needs two levels
+    return _must(len(q) > 1 and 0.5 in q and all(0 < a < b < 1 for a, b in zip(q, q[1:])),
+                 q, "at least two levels, strictly ascending in (0, 1), including 0.5")
+
+
+_TIMESTAMPS = ("horizon_start", "horizon_end", "train_end", "val_end", "test_end")
 
 
 class Run:
-    """Resolved configuration plus derived paths and parsed fields."""
+    """A merged config, parsed: ``__init__`` is the one reader of its values,
+    and a value its parser or the type consuming it rejects is a ConfigError
+    naming the field. Also the areas' keys and paths."""
 
     def __init__(self, cfg: dict):
-        self.cfg = cfg
+        # YAML reads an unquoted timestamp as a datetime; its ISO text keys
+        # the same areas as the quoted spelling
+        self.cfg = cfg = {**cfg, **{f: cfg[f].isoformat() for f in _TIMESTAMPS
+                                    if isinstance(cfg[f], dt.date)}}
+        sel, model, tcfg = cfg["selector"], cfg["model"], cfg["transfer"]
+        self.workspace = _read("workspace", Path, cfg["workspace"])
+        self.trades_csv = None if cfg["trades_csv"] is None else _read(
+            "trades_csv", lambda p: _must(Path(p).is_file(), p, "an existing file"),
+            cfg["trades_csv"])
+        self.jobs = _read("jobs", _count, cfg["jobs"])
+        self.seeds = _read("seeds", _seeds, cfg["seeds"])
+        self.quantiles = _read("quantiles", _levels, cfg["quantiles"])
+        self.tz = _read("tz", _tz, cfg["tz"])
+        self.spec = _read("market/product_type", ProductSpec,
+                          cfg["market"], cfg["product_type"])
+        when = [_read(f, parse_timestamp, str(cfg[f]), self.tz) for f in _TIMESTAMPS]
+        self.start, self.end = when[:2]
+        self.boundaries = _read("train_end/val_end/test_end", SplitBoundaries, *when[2:])
+        seed = _read("seed", int, cfg["seed"])
+        self.synth_cfg = _read("synth", lambda raw: synth.SynthConfig(seed=seed, **raw),
+                               cfg["synth"])
+        self.solver_cfg = SolverConfig(**{
+            f: _read(f"selector.{f}", conv, sel[f]) for f, conv in
+            (("kappa", float), ("stages", int), ("max_iter", int), ("rel_tol", float))})
+        self.alpha_grid = default_alpha_grid(
+            _read("selector.alpha_grid_size", _count, sel["alpha_grid_size"]))
+        self.top_k = _read("selector.top_k", _count, sel["top_k"])
+        self.family = _read("model.family", _one_of(FAMILIES), model["family"])
+        self.search_budget = _read("model.search_budget", _count, model["search_budget"])
+        self.feature_set = _read("model.feature_set",
+                                 _one_of(("top5", "full", *NAIVE_FEATURE_SETS)),
+                                 model["feature_set"])
+        self.model_config = _read("model.config", dict, model["config"] or {})
+        self.transfer_family = _read("transfer.model_family", _one_of(FAMILIES),
+                                     tcfg["model_family"])
+        self.transfer_config = _read("transfer.model_config", dict,
+                                     tcfg["model_config"] or {})
+        self.transfer_budget = _read("transfer.budget", _count, tcfg["budget"])
+        self.transfer_seeds = _read("transfer.seeds", _seeds, tcfg["seeds"])
+        self.strategies = _read("transfer.strategies", check_strategies,
+                                tcfg["strategies"])
+        self.feature_mode = _read("transfer.feature_mode", _one_of(FEATURE_MODES),
+                                  tcfg["feature_mode"])
+
+        def domain_synth(overrides):
+            section = {**cfg["synth"], **(overrides or {})}
+            synth.SynthConfig(seed=seed, **section)  # rejects a bad value
+            return section
+        # (name, merged synth section) per transfer domain
+        self.domains = [(str(tcfg[d]["name"]),
+                         _read(f"transfer.{d}.synth", domain_synth, tcfg[d]["synth"]))
+                        for d in ("domain_a", "domain_b")]
+
         keyed = dict(cfg)
-        if cfg["trades_csv"] is not None:
+        if self.trades_csv is not None:
             # a file replaced at the same path must not reuse stale features
             keyed["trades_csv"] = {"path": cfg["trades_csv"],
-                                   "sha256": file_sha256(cfg["trades_csv"])}
+                                   "sha256": file_sha256(self.trades_csv)}
         self.keys = {area: config_hash({f: keyed[f] for f in fields})
                      for area, fields in STAGE_FIELDS.items()}
-        self.tz = _tz(cfg["tz"])
-        self.workspace = Path(cfg["workspace"])
-        self.spec = ProductSpec(market=cfg["market"], product_type=cfg["product_type"])
-        self.start = parse_timestamp(str(cfg["horizon_start"]), self.tz)
-        self.end = parse_timestamp(str(cfg["horizon_end"]), self.tz)
-        self.boundaries = SplitBoundaries(
-            parse_timestamp(str(cfg["train_end"]), self.tz),
-            parse_timestamp(str(cfg["val_end"]), self.tz),
-            parse_timestamp(str(cfg["test_end"]), self.tz))
-        self.quantiles = tuple(float(q) for q in cfg["quantiles"])
-        sel = cfg["selector"]
-        self.solver_cfg = SolverConfig(kappa=float(sel["kappa"]),
-                                       stages=int(sel["stages"]),
-                                       max_iter=int(sel["max_iter"]),
-                                       rel_tol=float(sel["rel_tol"]))
-        self.alpha_grid = default_alpha_grid(int(sel["alpha_grid_size"]))
+
+    def path(self, area: str, name: str = "") -> Path:
+        """``workspace/<area>/<key>/<name>``, without creating anything."""
+        return self.workspace / area / self.keys[area] / name
 
     def dir(self, area: str) -> Path:
-        d = self.workspace / area / self.keys[area]
+        d = self.path(area)
         d.mkdir(parents=True, exist_ok=True)
         return d
 
@@ -248,23 +303,15 @@ class Run:
 
 def _output(run: Run, area: str, name: str, make) -> Path:
     """Path of ``name`` in ``area``; ``make(run)`` writes it first if missing."""
-    path = run.dir(area) / name
+    path = run.path(area, name)
     if not path.exists():
         make(run)
     return path
 
 
-def _synth_config(run: Run, overrides: Optional[dict] = None) -> synth.SynthConfig:
-    raw = {**run.cfg["synth"], **(overrides or {})}
-    try:
-        return synth.SynthConfig(seed=int(run.cfg["seed"]), **raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field 'synth': {exc}") from None
-
-
 def cmd_synth(run: Run) -> Path:
     out = run.dir("synth") / "trades.csv"
-    data = synth.generate(_synth_config(run), run.spec, run.start, run.end)
+    data = synth.generate(run.synth_cfg, run.spec, run.start, run.end)
     with open(out, "w", newline="", encoding="utf-8") as fh:
         market.write_trades_csv(data.trades, fh)
     # the canonical trade format has a fixed header, so provenance lives beside it
@@ -274,8 +321,7 @@ def cmd_synth(run: Run) -> Path:
 
 
 def _load_trades(run: Run) -> market.TradeTable:
-    src = run.cfg["trades_csv"]
-    path = _output(run, "synth", "trades.csv", cmd_synth) if src is None else Path(src)
+    path = run.trades_csv or _output(run, "synth", "trades.csv", cmd_synth)
     with open(path, newline="", encoding="utf-8") as fh:
         trades, rejected = market.parse_trades(fh, run.tz)
     for r in rejected:
@@ -289,26 +335,16 @@ def cmd_extract(run: Run) -> Path:
     out = run.dir("features") / "features.csv"
     with open(out, "w", newline="", encoding="utf-8") as fh:
         market.write_samples_csv(samples, fh, extra=run.meta("features"))
-    run.write_json("features", "drop_report.json", {
-        "n_products": report.n_products,
-        "n_built": report.n_built,
-        "n_discarded_features": report.n_discarded_features,
-        "n_discarded_with_target": report.n_discarded_with_target,
-        "n_missing_target": report.n_missing_target,
-    })
+    run.write_json("features", "drop_report.json", dataclasses.asdict(report))
     log.info("extracted %d samples (%d discarded) to %s",
              report.n_built, report.n_discarded_features, out)
     return out
 
 
-def _load_samples(run: Run) -> List[market.Sample]:
+def _split(run: Run) -> market.DatasetSplit:
     path = _output(run, "features", "features.csv", cmd_extract)
     with open(path, newline="", encoding="utf-8") as fh:
-        return market.read_samples_csv(fh)
-
-
-def _split(run: Run) -> market.DatasetSplit:
-    return split_dataset(_load_samples(run), run.boundaries)
+        return split_dataset(market.read_samples_csv(fh), run.boundaries)
 
 
 def _write_selection(run: Run, sel: SelectionResult) -> Path:
@@ -316,12 +352,11 @@ def _write_selection(run: Run, sel: SelectionResult) -> Path:
     payload = sel.to_dict()
     payload["breakdown"] = importance_breakdown(sel).to_dict()
     out = run.write_json("selection", "selection.json", payload)
-    k = int(run.cfg["selector"]["top_k"])
     rows = []
     for tau in run.quantiles:
-        names, _short = top_k(sel, tau, k)
+        names, _short = top_k(sel, tau, run.top_k)
         for rank, name in enumerate(names, start=1):
-            rows.append([run.cfg["market"], run.cfg["product_type"], tau, rank,
+            rows.append([run.spec.market, run.spec.product_type, tau, rank,
                          name, repr(sel.per_tau_coef[tau][name])])
     run.write_csv("selection", "top_features.csv",
                   ["market", "product_type", "quantile", "rank", "feature",
@@ -330,21 +365,19 @@ def _write_selection(run: Run, sel: SelectionResult) -> Path:
     return out
 
 
-def _domain(run: Run, name: str, dom_cfg: dict):
+def _domain(run: Run, name: str, synth_section: dict):
     """A synthetic transfer domain keyed as the main config with the domain's
-    synth overrides. Its samples come from that key's ``features.csv`` when
-    ``extract`` wrote one, and are built in memory (not written) otherwise;
-    its selection goes through the selection area under the same key."""
-    overrides = dom_cfg.get("synth") or {}
-    dom_run = Run({**run.cfg, "synth": {**run.cfg["synth"], **overrides},
-                   "trades_csv": None})
-    features = dom_run.workspace / "features" / dom_run.keys["features"] / "features.csv"
-    if features.exists():
+    merged synth section. Its samples come from that key's ``features.csv``
+    when ``extract`` wrote one, and are built in memory (not written)
+    otherwise; its selection goes through the selection area under the same
+    key."""
+    dom_run = Run({**run.cfg, "synth": synth_section, "trades_csv": None})
+    if dom_run.path("features", "features.csv").exists():
         dom = domain_from_split(name, _split(dom_run))
     else:
-        dom, _ = synth.build_domain(name, _synth_config(dom_run), run.spec,
+        dom, _ = synth.build_domain(name, dom_run.synth_cfg, run.spec,
                                     run.start, run.end, run.boundaries)
-    cached = dom_run.workspace / "selection" / dom_run.keys["selection"] / "selection.json"
+    cached = dom_run.path("selection", "selection.json")
     if cached.exists():
         dom.selection = SelectionResult.from_dict(json.loads(cached.read_text()),
                                                   FEATURE_NAMES)
@@ -367,62 +400,46 @@ def cmd_select(run: Run) -> Path:
 
 
 def _feature_set(run: Run) -> List[str]:
-    choice = run.cfg["model"]["feature_set"]
-    if choice in NAIVE_FEATURE_SETS:
-        return list(NAIVE_FEATURE_SETS[choice])
+    if run.feature_set in NAIVE_FEATURE_SETS:
+        return list(NAIVE_FEATURE_SETS[run.feature_set])
     path = _output(run, "selection", "selection.json", cmd_select)
     sel = SelectionResult.from_dict(json.loads(path.read_text()), FEATURE_NAMES)
-    if choice == "full":
+    if run.feature_set == "full":
         return list(sel.union)
-    return top_k_union(sel, int(run.cfg["selector"]["top_k"]))
+    return top_k_union(sel, run.top_k)
 
 
 def _train_one(args) -> tuple:
-    run, names, split_parts, seed = args
-    (X_tr, y_tr), (X_val, y_val), (X_te, y_te) = split_parts
-    model_cfg = run.cfg["model"]
-    result = run_experiment(names, (X_tr, y_tr), (X_val, y_val), (X_te, y_te),
-                            model_cfg["family"], int(model_cfg["search_budget"]),
-                            seed, run.quantiles,
-                            base_config=model_cfg["config"] or {})
+    run, names, parts, seed = args
+    result = run_experiment(names, *parts, run.family, run.search_budget, seed,
+                            run.quantiles, base_config=run.model_config)
     return seed, result
-
-
-def _prepare_matrices(run: Run, names: Sequence[str]):
-    split = _split(run)
-    return (design_matrix(split.train, names),
-            design_matrix(split.val, names),
-            design_matrix(split.test, names))
 
 
 def cmd_train(run: Run) -> Path:
     names = _feature_set(run)
-    parts = _prepare_matrices(run, names)
+    split = _split(run)
+    parts = tuple(design_matrix(rows, names) for rows in (split.train, split.val, split.test))
     out_dir = run.dir("models")
-    jobs = int(run.cfg["jobs"])
-    tasks = [(run, names, parts, seed) for seed in run.cfg["seeds"]]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    tasks = [(run, names, parts, seed) for seed in run.seeds]
+    if run.jobs > 1:
+        with ProcessPoolExecutor(max_workers=run.jobs) as pool:
             results = dict(pool.map(_train_one, tasks))
     else:
         results = dict(map(_train_one, tasks))
-    family = run.cfg["model"]["family"]
-    for seed in sorted(results):
-        result = results[seed]
-        save_checkpoint(out_dir / f"{family}_seed{seed}.npz", result.model,
+    for seed, result in sorted(results.items()):
+        save_checkpoint(out_dir / f"{run.family}_seed{seed}.npz", result.model,
                         prep=result.prep,
                         extra_meta={"config_hash": run.keys["models"],
                                     "best_trial": result.best_trial.trial_id})
         with open(out_dir / f"trials_seed{seed}.jsonl", "w", encoding="utf-8") as fh:
             write_trials_jsonl(result.trials, fh)
-    log.info("trained %d seeds for family %s into %s", len(results), family, out_dir)
+    log.info("trained %d seeds for family %s into %s", len(results), run.family, out_dir)
     return out_dir
 
 
 def cmd_evaluate(run: Run) -> Path:
-    family = run.cfg["model"]["family"]
-    model_dir = run.workspace / "models" / run.keys["models"]
-    paths = [(seed, model_dir / f"{family}_seed{seed}.npz") for seed in run.cfg["seeds"]]
+    paths = [(seed, run.path("models", f"{run.family}_seed{seed}.npz")) for seed in run.seeds]
     for _, path in paths:
         if not path.exists():
             raise ConfigError(f"missing checkpoint {path}; run `train` first")
@@ -437,30 +454,27 @@ def cmd_evaluate(run: Run) -> Path:
         per_seed[str(seed)] = report.to_dict()
     summary = summarize_runs(reports)
     out = run.write_json("metrics", "metrics.json",
-                         {"family": family, "per_seed": per_seed, "summary": summary})
+                         {"family": run.family, "per_seed": per_seed, "summary": summary})
     run.write_csv("metrics", "metrics.csv",
                   ["family", "AQL", "AQCR", "RMSE", "MAE", "R2"],
-                  [[family, *summary_cells(summary)]])
-    log.info("metrics for %s written to %s", family, out.parent)
+                  [[run.family, *summary_cells(summary)]])
+    log.info("metrics for %s written to %s", run.family, out.parent)
     return out
 
 
 def cmd_transfer(run: Run) -> Path:
-    tcfg = run.cfg["transfer"]
-    dom_a = _domain(run, tcfg["domain_a"].get("name", "A"), tcfg["domain_a"])
-    dom_b = _domain(run, tcfg["domain_b"].get("name", "B"), tcfg["domain_b"])
+    dom_a, dom_b = (_domain(run, *dom) for dom in run.domains)
 
     def pair_run(A, B, strategies):
-        return run_pair(A, B, tcfg["model_family"], int(tcfg["budget"]),
-                        [int(s) for s in tcfg["seeds"]], run.quantiles,
-                        strategies=strategies,
-                        base_config=tcfg["model_config"] or {},
+        return run_pair(A, B, run.transfer_family, run.transfer_budget,
+                        run.transfer_seeds, run.quantiles, strategies=strategies,
+                        base_config=run.transfer_config,
                         alpha_grid=run.alpha_grid, solver_cfg=run.solver_cfg,
-                        feature_mode=tcfg.get("feature_mode", "union"))
+                        feature_mode=run.feature_mode)
 
     # the (C, L) scatter reads each direction's B->A point from a pair run,
     # reusing the configured run when it already holds the forward one
-    pair = pair_run(dom_a, dom_b, tuple(tcfg["strategies"]))
+    pair = pair_run(dom_a, dom_b, run.strategies)
     forward = pair if "B->A" in pair.loss_ratio else pair_run(dom_a, dom_b, ("B->A",))
     points = [sweep_point(forward), sweep_point(pair_run(dom_b, dom_a, ("B->A",)))]
 
@@ -522,13 +536,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                  ("workspace", "market", "product_type", "tz",
                   "train_end", "val_end", "test_end", "jobs", "seed")}
     try:
-        cfg = load_config(args.config, overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    run = Run(cfg)
-    try:
-        out = COMMANDS[args.command](run)
+        out = COMMANDS[args.command](Run(load_config(args.config, overrides)))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -100,35 +100,23 @@ def parse_feature_name(name: str) -> Tuple[str, str, str, Optional[int]]:
     return family, side, label, pct
 
 
-def _enumerate_names() -> List[str]:
-    names = []
-    for family, is_pctl in FAMILIES:
-        for side in SIDE_LABELS:
-            for label in WINDOW_LABELS:
-                if is_pctl:
-                    for p in PERCENTILES:
-                        names.append(f"{family}|{side}|{label}|{p}")
-                else:
-                    names.append(f"{family}|{side}|{label}")
-    return names
-
-
-FEATURE_NAMES: Tuple[str, ...] = tuple(_enumerate_names())
-N_FEATURES = len(FEATURE_NAMES)
-
 # per-(side, window) layout: the 32 statistics in family order
-_SUBVEC: List[Tuple[str, Optional[int]]] = []
-for _family, _is_pctl in FAMILIES:
-    if _is_pctl:
-        _SUBVEC.extend((_family, _p) for _p in PERCENTILES)
-    else:
-        _SUBVEC.append((_family, None))
+_SUBVEC: List[Tuple[str, Optional[int]]] = [
+    (family, p) for family, is_pctl in FAMILIES
+    for p in (PERCENTILES if is_pctl else (None,))]
 N_STATS = len(_SUBVEC)
+
+# family-major: each family's (side, window, level) block is contiguous
+FEATURE_NAMES: Tuple[str, ...] = tuple(
+    feature_name(family, side, label, p)
+    for slug in FAMILY_SLUGS for side in SIDE_LABELS for label in WINDOW_LABELS
+    for family, p in _SUBVEC if family == slug)
+N_FEATURES = len(FEATURE_NAMES)
 
 _NAME_POS = {n: i for i, n in enumerate(FEATURE_NAMES)}
 # (window, statistic) -> position in the feature vector, per side
 _SIDE_POS: Dict[str, np.ndarray] = {
-    side: np.array([[_NAME_POS[f"{family}|{side}|{label}" + ("" if p is None else f"|{p}")]
+    side: np.array([[_NAME_POS[feature_name(family, side, label, p)]
                      for family, p in _SUBVEC] for label in WINDOW_LABELS], dtype=np.intp)
     for side in SIDE_LABELS
 }

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -439,3 +440,53 @@ def test_transfer_domain_reads_extracted_features(tmp_path, monkeypatch):
     reports = [(_hash_dir(tmp_path / side / "ws", "transfer") / "reports.json").read_bytes()
                for side in ("warm", "cold")]
     assert reports[0] == reports[1]
+
+
+COMMAND_NAMES = ("synth", "extract", "select", "train", "evaluate", "transfer")
+
+
+@pytest.mark.parametrize("field,extra", [
+    ("jobs", {"jobs": "x"}),
+    ("train_end", {"train_end": "2024-03-07T00:00:00"}),
+    ("selector.kappa", {"selector": {"kappa": "abc"}}),
+    ("selector.alpha_grid_size", {"selector": {"alpha_grid_size": "x"}}),
+    ("seeds", {"seeds": 3}),
+    ("seed", {"seed": "x"}),
+    ("model.family", {"model": {"family": "nope"}}),
+    ("quantiles", {"quantiles": [0.1, 0.9]}),
+    ("model.search_budget", {"model": {"search_budget": 0}}),
+    ("selector.top_k", {"selector": {"top_k": 0}, "model": {"feature_set": "top5"}}),
+    ("transfer.feature_mode", {"transfer": {"feature_mode": "bogus"}}),
+    ("transfer.model_family", {"transfer": {"model_family": "nope"}}),
+    ("transfer.budget", {"transfer": {"budget": 0}}),
+    ("transfer.seeds", {"transfer": {"seeds": 3}}),
+    ("transfer.domain_b.synth",
+     {"transfer": {"domain_b": {"synth": {"liquidity": -1}}}}),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_bad_config_exits_2_before_any_work(tmp_path, capsys, monkeypatch, field, extra):
+    calls = {"generate": 0, "build_samples": 0, "tune_alpha": 0}
+    monkeypatch.setattr(synth, "generate", _counting(calls, "generate", synth.generate))
+    monkeypatch.setattr(market, "build_samples",
+                        _counting(calls, "build_samples", market.build_samples))
+    monkeypatch.setattr(transfer, "tune_alpha",
+                        _counting(calls, "tune_alpha", transfer.tune_alpha))
+    cfg = write_cfg(tmp_path, **extra)
+    for command in COMMAND_NAMES:
+        assert run_cli(command, "--config", str(cfg)) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"'{field}" in err, err
+        assert "Traceback" not in err
+    assert calls == {"generate": 0, "build_samples": 0, "tune_alpha": 0}
+    assert not (tmp_path / "ws").exists()
+
+
+def test_readme_config_loads_with_unquoted_timestamps(tmp_path):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```yaml\n(.*?)```", text, re.S).group(1)
+    quoted = re.sub(r"(\d{4}-\d\d-\d\dT[\d:]+)", r'"\1"', block)
+    assert quoted != block
+    keys = []
+    for name, body in (("plain.yaml", block), ("quoted.yaml", quoted)):
+        (tmp_path / name).write_text(body, encoding="utf-8")
+        keys.append(Run(load_config(str(tmp_path / name), {})).keys)
+    assert keys[0] == keys[1]
