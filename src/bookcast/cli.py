@@ -21,6 +21,7 @@ import argparse
 import csv
 import dataclasses
 import datetime as dt
+import inspect
 import json
 import logging
 import sys
@@ -69,23 +70,12 @@ DEFAULT_CONFIG: Dict[str, object] = {
     "test_end": "2024-03-01T00:00:00",
     "trades_csv": None,
     "jobs": 1,
-    "synth": {
-        "liquidity": 40.0,
-        "volatility": 5.0,
-        "base_price": 60.0,
-        "session_hours": 12.0,
-        "volume_log_mean": 0.0,
-        "volume_log_sd": 0.5,
-        "side_balance": 0.5,
-        "arrival_ramp": 0.5,
-        "half_spread": 0.5,
-    },
+    # the synth and solver dataclasses' own defaults; the seed is top-level
+    "synth": {k: v for k, v in dataclasses.asdict(synth.SynthConfig()).items()
+              if k != "seed"},
     "selector": {
         "alpha_grid_size": 50,
-        "kappa": 1e-4,
-        "stages": 3,
-        "max_iter": 10000,
-        "rel_tol": 1e-8,
+        **dataclasses.asdict(SolverConfig()),
         "top_k": 5,
     },
     "model": {
@@ -196,6 +186,23 @@ def _seeds(value) -> List[int]:
                                   value, "a non-empty list of seeds")]
 
 
+def _model_config(family: str):
+    """Parser of a model-config mapping for ``family``: its keys must be
+    keywords of the family's constructor other than the run-set quantiles
+    and seed. Values are left to the model, since the search overrides the
+    keys it samples."""
+    known = sorted(set(inspect.signature(FAMILIES[family]).parameters)
+                   - {"quantiles", "seed"})
+
+    def parse(value) -> dict:
+        value = dict(value or {})
+        unknown = sorted(set(value) - set(known))
+        if unknown:
+            raise ValueError(f"unknown {family} model keys {unknown}; known: {known}")
+        return value
+    return parse
+
+
 def _levels(value) -> Tuple[float, ...]:
     q = tuple(float(v) for v in value)
     # evaluate reads the 0.5 head, and the coverage ratio needs two levels
@@ -233,6 +240,7 @@ class Run:
         seed = _read("seed", int, cfg["seed"])
         self.synth_cfg = _read("synth", lambda raw: synth.SynthConfig(seed=seed, **raw),
                                cfg["synth"])
+        _read("synth.session_hours", synth.gate_hours, self.synth_cfg, self.spec)
         self.solver_cfg = SolverConfig(**{
             f: _read(f"selector.{f}", conv, sel[f]) for f, conv in
             (("kappa", float), ("stages", int), ("max_iter", int), ("rel_tol", float))})
@@ -244,11 +252,13 @@ class Run:
         self.feature_set = _read("model.feature_set",
                                  _one_of(("top5", "full", *NAIVE_FEATURE_SETS)),
                                  model["feature_set"])
-        self.model_config = _read("model.config", dict, model["config"] or {})
+        self.model_config = _read("model.config", _model_config(self.family),
+                                  model["config"])
         self.transfer_family = _read("transfer.model_family", _one_of(FAMILIES),
                                      tcfg["model_family"])
-        self.transfer_config = _read("transfer.model_config", dict,
-                                     tcfg["model_config"] or {})
+        self.transfer_config = _read("transfer.model_config",
+                                     _model_config(self.transfer_family),
+                                     tcfg["model_config"])
         self.transfer_budget = _read("transfer.budget", _count, tcfg["budget"])
         self.transfer_seeds = _read("transfer.seeds", _seeds, tcfg["seeds"])
         self.strategies = _read("transfer.strategies", check_strategies,
@@ -258,7 +268,8 @@ class Run:
 
         def domain_synth(overrides):
             section = {**cfg["synth"], **(overrides or {})}
-            synth.SynthConfig(seed=seed, **section)  # rejects a bad value
+            # rejects a bad value, or a session closed before it opens
+            synth.gate_hours(synth.SynthConfig(seed=seed, **section), self.spec)
             return section
         # (name, merged synth section) per transfer domain
         self.domains = [(str(tcfg[d]["name"]),

@@ -6,11 +6,11 @@ Predicted quantiles may cross; crossing is measured downstream, never
 clipped away here.
 
 The base class owns the contract's shared half: input coercion, the
-fitted check and the checkpoint meta. A family implements its math and
-its ``config()`` through four hooks: ``_fit`` and ``_predict`` receive
-coerced float matrices, ``_state`` returns the family's extra meta and its
-parameter arrays, and ``_restore`` installs those arrays on a model built
-from the checkpointed config.
+fitted check and the checkpoint. A fitted model is its checkpoint arrays:
+``_fit`` fills ``_arrays`` with the arrays named in ``array_names`` and
+``_predict`` reads them, both on coerced float matrices, so ``state()``
+and ``from_state`` need no per-family translation. ``config()`` returns
+the constructor keywords a checkpoint rebuilds the model from.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ class QuantileModel:
     """Base class; subclasses set ``family`` and implement the hooks."""
 
     family: str = ""
+    array_names: Tuple[str, ...] = ()  # in the order state() lists them
 
     def __init__(self, quantiles, seed: int = 0):
         q = tuple(float(t) for t in quantiles)
@@ -43,6 +44,7 @@ class QuantileModel:
             raise ValueError("quantiles must lie in (0, 1)")
         self.quantiles: Tuple[float, ...] = q
         self.seed = int(seed)
+        self._arrays: Dict[str, np.ndarray] = {}
         self._fitted = False
 
     def fit(self, X: np.ndarray, y: np.ndarray,
@@ -66,15 +68,19 @@ class QuantileModel:
     def state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
         """(meta, arrays) snapshot sufficient to reproduce predictions."""
         self._require_fitted()
-        extra, arrays = self._state()
         meta = {"family": self.family, "quantiles": list(self.quantiles),
-                "seed": self.seed, "config": self.config(), **extra}
-        return meta, arrays
+                "seed": self.seed, "config": self.config()}
+        return meta, dict(self._arrays)
 
     @classmethod
     def from_state(cls, meta: dict, arrays: Dict[str, np.ndarray]) -> "QuantileModel":
+        """The model ``state()`` described; meta keys beyond the config and
+        arrays beyond ``array_names`` are ignored."""
         model = cls(meta["quantiles"], seed=meta["seed"], **meta["config"])
-        model._restore(meta, arrays)
+        missing = [name for name in model.array_names if name not in arrays]
+        if missing:
+            raise ValueError(f"{cls.family} checkpoint lacks parameter arrays {missing}")
+        model._arrays = {name: arrays[name] for name in model.array_names}
         model._fitted = True
         return model
 
@@ -82,13 +88,6 @@ class QuantileModel:
         raise NotImplementedError
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
-        """(extra meta, parameter arrays) of a fitted model."""
-        raise NotImplementedError
-
-    def _restore(self, meta: dict, arrays: Dict[str, np.ndarray]) -> None:
         raise NotImplementedError
 
     def _require_fitted(self) -> None:

@@ -7,7 +7,7 @@ the same shrinkage effect regardless of dataset size.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .base import QuantileModel, TrainReport
 
 class LQRModel(QuantileModel):
     family = "lqr"
+    array_names = ("beta", "intercept")   # (|Q|, D) slopes, (|Q|,) intercepts
 
     def __init__(self, quantiles, seed: int = 0, l1_weight: float = 1e-8,
                  solver: Optional[SolverConfig] = None):
@@ -25,8 +26,6 @@ class LQRModel(QuantileModel):
             raise ValueError("l1_weight must be non-negative")
         self.l1_weight = float(l1_weight)
         self.solver = solver or SolverConfig()
-        self._beta: Optional[np.ndarray] = None      # (|Q|, D)
-        self._intercept: Optional[np.ndarray] = None
 
     def _fit(self, X, y, X_val, y_val) -> TrainReport:
         betas = []
@@ -37,19 +36,13 @@ class LQRModel(QuantileModel):
             betas.append(fit.beta)
             intercepts.append(fit.intercept)
             final_objectives.append(fit.objective_trace[-1])
-        self._beta = np.vstack(betas) if betas else np.empty((0, X.shape[1]))
-        self._intercept = np.array(intercepts)
+        self._arrays = {
+            "beta": np.vstack(betas) if betas else np.empty((0, X.shape[1])),
+            "intercept": np.array(intercepts)}
         return TrainReport(loss_trace=final_objectives)
 
     def _predict(self, X) -> np.ndarray:
-        return X @ self._beta.T + self._intercept
+        return X @ self._arrays["beta"].T + self._arrays["intercept"]
 
     def config(self) -> dict:
         return {"l1_weight": self.l1_weight}
-
-    def _state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
-        return {}, {"beta": self._beta, "intercept": self._intercept}
-
-    def _restore(self, meta, arrays) -> None:
-        self._beta = arrays["beta"]
-        self._intercept = arrays["intercept"]

@@ -12,12 +12,15 @@ residuals it holds, so every boosting step can only reduce the training
 pinball loss when no subsampling is active. reg_alpha soft-thresholds leaf
 values and reg_lambda shrinks them by n/(n + lambda) before the learning
 rate is applied.
+
+The fitted forest is one set of node arrays, quantile by quantile and
+boosting step by step: tree t holds nodes tree_start[t]:tree_start[t + 1],
+with child positions local to the tree, as the checkpoint stores them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -25,8 +28,7 @@ from ..util import pinball_quantile, rng_for, soft_threshold
 from .base import QuantileModel, TrainReport, pinball
 
 
-@dataclass
-class _Tree:
+class _Tree(NamedTuple):
     feature: np.ndarray    # -1 marks a leaf
     threshold: np.ndarray
     left: np.ndarray
@@ -101,6 +103,7 @@ class _SplitSearch:
 
 class QGBTModel(QuantileModel):
     family = "qgbt"
+    array_names = ("base", *_Tree._fields, "tree_start")
 
     def __init__(self, quantiles, seed: int = 0, n_estimators: int = 100,
                  max_depth: int = 6, learning_rate: float = 0.1,
@@ -128,8 +131,6 @@ class QGBTModel(QuantileModel):
         self.reg_alpha = float(reg_alpha)
         self.reg_lambda = float(reg_lambda)
         self.max_bins = int(max_bins)
-        self._base: Optional[np.ndarray] = None
-        self._trees: Optional[List[List[_Tree]]] = None  # [tau][iteration]
 
     def _bin_features(self, X: np.ndarray) -> Tuple[List[np.ndarray], np.ndarray]:
         probe = np.linspace(0.0, 1.0, self.max_bins + 1)[1:-1]
@@ -192,12 +193,12 @@ class QGBTModel(QuantileModel):
         n_feat = max(1, int(round(self.colsample_by_tree * d))) if d else 0
         search = _SplitSearch(n_feat, max((e.size + 1 for e in edges), default=0))
 
-        self._base = np.array([pinball_quantile(y, t) for t in self.quantiles])
-        self._trees = [[] for _ in self.quantiles]
+        base = np.array([pinball_quantile(y, t) for t in self.quantiles])
+        trees: List[_Tree] = []
         traces = np.zeros((len(self.quantiles), self.n_estimators))
         for qi, tau in enumerate(self.quantiles):
             rng = rng_for(self.seed, qi)
-            pred = np.full(n, self._base[qi])
+            pred = np.full(n, base[qi])
             for m in range(self.n_estimators):
                 rows = (np.arange(n) if n_sub == n
                         else np.sort(rng.choice(n, size=n_sub, replace=False)))
@@ -207,17 +208,27 @@ class QGBTModel(QuantileModel):
                 grad = np.where(residual >= 0, tau, tau - 1.0)
                 tree = self._grow_tree(binned, edges, residual, grad,
                                        rows, feats, search, tau)
-                self._trees[qi].append(tree)
+                trees.append(tree)
                 pred += tree.apply(X)
                 traces[qi, m] = float(np.mean(pinball(y, pred, tau)))
+        nodes = {k: np.concatenate([getattr(t, k) for t in trees] or [np.empty(0)])
+                 for k in _Tree._fields}
+        starts = np.cumsum([0] + [t.feature.size for t in trees], dtype=np.int64)
+        self._arrays = {"base": base, **nodes, "tree_start": starts}
         return TrainReport(loss_trace=list(traces.mean(axis=0)))
+
+    def _tree(self, t: int) -> _Tree:
+        """Tree t of the forest, as views of its node arrays; quantile qi's
+        trees are qi * n_estimators onwards."""
+        lo, hi = self._arrays["tree_start"][t: t + 2]
+        return _Tree(*(self._arrays[k][lo:hi] for k in _Tree._fields))
 
     def _predict(self, X) -> np.ndarray:
         out = np.empty((X.shape[0], len(self.quantiles)))
         for qi in range(len(self.quantiles)):
-            pred = np.full(X.shape[0], self._base[qi])
-            for tree in self._trees[qi]:
-                pred += tree.apply(X)
+            pred = np.full(X.shape[0], self._arrays["base"][qi])
+            for t in range(qi * self.n_estimators, (qi + 1) * self.n_estimators):
+                pred += self._tree(t).apply(X)
             out[:, qi] = pred
         return out
 
@@ -227,34 +238,3 @@ class QGBTModel(QuantileModel):
                 "colsample_by_tree": self.colsample_by_tree,
                 "reg_alpha": self.reg_alpha, "reg_lambda": self.reg_lambda,
                 "max_bins": self.max_bins}
-
-    def _state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
-        arrays: Dict[str, np.ndarray] = {"base": self._base}
-        chunks = {k: [] for k in ("feature", "threshold", "left", "right", "value")}
-        starts = [0]
-        for ts in self._trees:
-            for tree in ts:
-                for k, parts in chunks.items():
-                    parts.append(getattr(tree, k))
-                starts.append(starts[-1] + tree.feature.size)
-        for k, parts in chunks.items():
-            arrays[k] = np.concatenate(parts) if parts else np.empty(0)
-        arrays["tree_start"] = np.array(starts, dtype=np.int64)
-        return {"trees_per_tau": [len(ts) for ts in self._trees]}, arrays
-
-    def _restore(self, meta, arrays) -> None:
-        self._base = arrays["base"]
-        starts = arrays["tree_start"]
-        flat: List[_Tree] = []
-        for i in range(starts.size - 1):
-            lo, hi = int(starts[i]), int(starts[i + 1])
-            flat.append(_Tree(arrays["feature"][lo:hi].astype(np.intp),
-                              arrays["threshold"][lo:hi],
-                              arrays["left"][lo:hi].astype(np.intp),
-                              arrays["right"][lo:hi].astype(np.intp),
-                              arrays["value"][lo:hi]))
-        self._trees = []
-        pos = 0
-        for count in meta["trees_per_tau"]:
-            self._trees.append(flat[pos: pos + count])
-            pos += count

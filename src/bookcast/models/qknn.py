@@ -9,8 +9,6 @@ index for determinism.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
-
 import numpy as np
 
 from .base import QuantileModel, TrainReport
@@ -23,6 +21,7 @@ CHUNK_ELEMENTS = 250_000  # distance temporaries per predict chunk (~2 MB)
 
 class QKNNModel(QuantileModel):
     family = "qknn"
+    array_names = ("X", "y")   # the training set the neighbours come from
 
     def __init__(self, quantiles, seed: int = 0, n_neighbors: int = 5,
                  metric: str = "euclidean", weights: str = "uniform"):
@@ -36,46 +35,45 @@ class QKNNModel(QuantileModel):
         self.n_neighbors = int(n_neighbors)
         self.metric = metric
         self.weights = weights
-        self._X: Optional[np.ndarray] = None
-        self._y: Optional[np.ndarray] = None
 
     def _fit(self, X, y, X_val, y_val) -> TrainReport:
         if self.n_neighbors > X.shape[0]:
             raise ValueError(
                 f"n_neighbors={self.n_neighbors} exceeds training size {X.shape[0]}")
-        self._X = X.copy()
-        self._y = y.copy()
+        self._arrays = {"X": X.copy(), "y": y.copy()}
         return TrainReport(loss_trace=[0.0])
 
     def _distances(self, X: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        train = self._arrays["X"]
         if self.metric == "euclidean":
             d2 = (np.sum(X ** 2, axis=1)[:, None]
-                  + np.sum(self._X ** 2, axis=1)[None, :]
-                  - 2.0 * X @ self._X.T)
+                  + np.sum(train ** 2, axis=1)[None, :]
+                  - 2.0 * X @ train.T)
             return np.sqrt(np.maximum(d2, 0.0))
         # (rows, n_train, n_features) differences in a buffer reused across
         # chunks: fresh multi-megabyte temporaries fault their pages in anew
         diff = scratch[: X.shape[0]]
-        np.subtract(X[:, None, :], self._X[None, :, :], out=diff)
+        np.subtract(X[:, None, :], train[None, :, :], out=diff)
         np.abs(diff, out=diff)
         return np.sum(diff, axis=2)
 
     def _predict(self, X) -> np.ndarray:
         # column-indexed design matrices arrive F-ordered; rows must be contiguous
         X = np.ascontiguousarray(X)
+        train, train_y = self._arrays["X"], self._arrays["y"]
         taus = np.array(self.quantiles)
         k = self.n_neighbors
         out = np.empty((X.shape[0], taus.size))
         # manhattan materializes (rows, n_train, n_features); keep each
         # chunk's temporaries near CHUNK_ELEMENTS
         manhattan = self.metric == "manhattan"
-        per_row = self._X.shape[0] * (self._X.shape[1] if manhattan else 1)
+        per_row = train.shape[0] * (train.shape[1] if manhattan else 1)
         chunk = max(1, min(X.shape[0], int(CHUNK_ELEMENTS // max(1, per_row))))
-        scratch = np.empty((chunk,) + self._X.shape if manhattan else 0)
+        scratch = np.empty((chunk,) + train.shape if manhattan else 0)
         for lo in range(0, X.shape[0], chunk):
             dists = self._distances(X[lo: lo + chunk], scratch)
             order = np.argsort(dists, axis=1, kind="stable")[:, :k]
-            neigh_y = self._y[order]
+            neigh_y = train_y[order]
             if self.weights == "uniform":
                 out[lo: lo + chunk] = np.quantile(neigh_y, taus, axis=1).T
                 continue
@@ -94,10 +92,3 @@ class QKNNModel(QuantileModel):
     def config(self) -> dict:
         return {"n_neighbors": self.n_neighbors, "metric": self.metric,
                 "weights": self.weights}
-
-    def _state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
-        return {}, {"X": self._X, "y": self._y}
-
-    def _restore(self, meta, arrays) -> None:
-        self._X = arrays["X"]
-        self._y = arrays["y"]

@@ -6,17 +6,18 @@ Pure numpy: forward, backprop, inverted dropout, and Adam (Kingma & Ba,
 differences. Training uses mini-batches with early stopping on validation
 AQL (patience 10) and restores the best-epoch weights.
 
-All weights and biases live in one flat float64 vector (W then b per layer;
-the per-layer arrays are views of it). Backprop writes into one flat
-gradient vector, Adam updates the parameters in place in fixed blocks, and
-the best epoch is snapshotted into one more vector, so training holds about
-five parameter-sized vectors (parameters, gradient, Adam's two moments,
-best epoch) and allocates none of them per step.
+During training all weights and biases live in one flat float64 vector
+(W then b per layer; the model's arrays W{i} and b{i} are views of it).
+Backprop writes into one flat gradient vector, Adam updates the parameters
+in place in fixed blocks, and the best epoch is snapshotted into one more
+vector, so training holds about five parameter-sized vectors (parameters,
+gradient, Adam's two moments, best epoch) and allocates none of them per
+step.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -34,18 +35,18 @@ ADAM_EPS = 1e-8
 ADAM_BLOCK = 1 << 15
 
 
-def _flat_layers(shapes) -> Tuple[np.ndarray, List[np.ndarray], List[np.ndarray]]:
-    """A flat float64 vector and its per-layer (weights, biases) views, laid
-    out W then b per layer."""
+def _flat_layers(shapes) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+    """A flat float64 vector and its per-layer views W{i} (fan_in, fan_out)
+    and b{i} (fan_out,), laid out W then b per layer."""
     flat = np.empty(sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes))
-    weights, biases = [], []
+    views = {}
     lo = 0
-    for fan_in, fan_out in shapes:
+    for i, (fan_in, fan_out) in enumerate(shapes):
         hi = lo + fan_in * fan_out
-        weights.append(flat[lo:hi].reshape(fan_in, fan_out))
-        biases.append(flat[hi:hi + fan_out])
+        views[f"W{i}"] = flat[lo:hi].reshape(fan_in, fan_out)
+        views[f"b{i}"] = flat[hi:hi + fan_out]
         lo = hi + fan_out
-    return flat, weights, biases
+    return flat, views
 
 
 def _adam_step(params, grad, m, v, scratch, lr: float, step: int) -> None:
@@ -101,19 +102,25 @@ class QMLPModel(QuantileModel):
         self.max_epochs = int(max_epochs)
         self.patience = int(patience)
         self.lr_decay = float(lr_decay)
-        self._flat: Optional[np.ndarray] = None
-        self._weights: Optional[List[np.ndarray]] = None
-        self._biases: Optional[List[np.ndarray]] = None
 
-    def _init_params(self, n_features: int) -> None:
+    @property
+    def array_names(self) -> Tuple[str, ...]:
+        return tuple(f"{k}{l}" for l in range(self.n_layers + 1) for k in "Wb")
+
+    def _shapes(self) -> List[Tuple[int, int]]:
+        return [self._arrays[f"W{l}"].shape for l in range(self.n_layers + 1)]
+
+    def _init_params(self, n_features: int) -> np.ndarray:
+        """Fresh weights; the model's arrays become views of the returned
+        flat vector, which training updates in place."""
         rng = rng_for(self.seed, 0)
         sizes = [n_features] + [self.hidden_size] * self.n_layers + [len(self.quantiles)]
-        shapes = list(zip(sizes[:-1], sizes[1:]))
-        self._flat, self._weights, self._biases = _flat_layers(shapes)
-        for (fan_in, fan_out), w, b in zip(shapes, self._weights, self._biases):
+        flat, self._arrays = _flat_layers(list(zip(sizes[:-1], sizes[1:])))
+        for l, fan_in in enumerate(sizes[:-1]):
             bound = 1.0 / np.sqrt(fan_in)
-            w[...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-            b[...] = rng.uniform(-bound, bound, size=fan_out)
+            for a in (self._arrays[f"W{l}"], self._arrays[f"b{l}"]):
+                a[...] = rng.uniform(-bound, bound, size=a.shape)
+        return flat
 
     def _forward(self, X: np.ndarray, dropout_rng=None):
         """Returns (output, cache) with per-layer inputs and dropout masks."""
@@ -121,7 +128,7 @@ class QMLPModel(QuantileModel):
         masks = []
         h = X
         for l in range(self.n_layers):
-            z = h @ self._weights[l] + self._biases[l]
+            z = h @ self._arrays[f"W{l}"] + self._arrays[f"b{l}"]
             h = np.maximum(z, 0.0)
             if dropout_rng is not None and self.dropout_rate > 0.0:
                 mask = (dropout_rng.random(h.shape) >= self.dropout_rate)
@@ -130,8 +137,8 @@ class QMLPModel(QuantileModel):
             else:
                 masks.append(None)
             acts.append(h)
-        out = h @ self._weights[-1] + self._biases[-1]
-        return out, (acts, masks)
+        top = self.n_layers
+        return h @ self._arrays[f"W{top}"] + self._arrays[f"b{top}"], (acts, masks)
 
     def _loss_grad_out(self, y: np.ndarray, out: np.ndarray) -> Tuple[float, np.ndarray]:
         taus = np.array(self.quantiles)
@@ -142,53 +149,50 @@ class QMLPModel(QuantileModel):
         grad = np.where(diff >= 0, -taus, 1.0 - taus) * scale
         return loss, grad
 
-    def _backward(self, acts, masks, g: np.ndarray, grads_w, grads_b) -> None:
+    def _backward(self, acts, masks, g: np.ndarray, grads) -> None:
         """Parameter gradients from d(loss)/d(output), written into the
-        per-layer views ``grads_w``/``grads_b`` of a flat gradient vector.
+        named per-layer views ``grads`` of a flat gradient vector.
 
         Post-dropout activations are zero wherever a unit was dropped or the
         ReLU was inactive, so (activation > 0) recovers the exact ReLU gate
         on the surviving units.
         """
-        np.matmul(acts[-1].T, g, out=grads_w[-1])
-        np.sum(g, axis=0, out=grads_b[-1])
-        upstream = g @ self._weights[-1].T
-        for l in range(self.n_layers - 1, -1, -1):
+        top = self.n_layers
+        np.matmul(acts[top].T, g, out=grads[f"W{top}"])
+        np.sum(g, axis=0, out=grads[f"b{top}"])
+        upstream = g @ self._arrays[f"W{top}"].T
+        for l in range(top - 1, -1, -1):
             if masks[l] is not None:
                 upstream = upstream * masks[l] / (1.0 - self.dropout_rate)
             upstream = upstream * (acts[l + 1] > 0)
-            np.matmul(acts[l].T, upstream, out=grads_w[l])
-            np.sum(upstream, axis=0, out=grads_b[l])
+            np.matmul(acts[l].T, upstream, out=grads[f"W{l}"])
+            np.sum(upstream, axis=0, out=grads[f"b{l}"])
             if l > 0:
-                upstream = upstream @ self._weights[l].T
+                upstream = upstream @ self._arrays[f"W{l}"].T
 
     def loss_and_grads(self, X: np.ndarray, y: np.ndarray):
         """Full-batch loss and analytic parameter gradients (fresh arrays,
         ordered as parameters()), dropout off."""
         out, (acts, masks) = self._forward(np.asarray(X, dtype=float))
         loss, g = self._loss_grad_out(np.asarray(y, dtype=float), out)
-        _, grads_w, grads_b = _flat_layers([w.shape for w in self._weights])
-        self._backward(acts, masks, g, grads_w, grads_b)
-        return loss, [a for pair in zip(grads_w, grads_b) for a in pair]
+        _, grads = _flat_layers(self._shapes())
+        self._backward(acts, masks, g, grads)
+        return loss, [grads[name] for name in self.array_names]
 
     def parameters(self) -> List[np.ndarray]:
-        params = []
-        for w, b in zip(self._weights, self._biases):
-            params.extend([w, b])
-        return params
+        return [self._arrays[name] for name in self.array_names]
 
     def _fit(self, X, y, X_val, y_val) -> TrainReport:
         n = X.shape[0]
         validate = X_val is not None and y_val is not None and len(y_val) > 0
         if validate:
             X_val = self._check_matrix(X_val)
-        self._init_params(X.shape[1])
+        params = self._init_params(X.shape[1])
         shuffle_rng = rng_for(self.seed, 1)
         dropout_rng = rng_for(self.seed, 2)
         batch = min(self.batch_size, n)
 
-        params = self._flat
-        grad, grads_w, grads_b = _flat_layers([w.shape for w in self._weights])
+        grad, grads = _flat_layers(self._shapes())
         m_state = np.zeros_like(params)
         v_state = np.zeros_like(params)
         scratch = np.empty((2, min(ADAM_BLOCK, params.size)))
@@ -216,7 +220,7 @@ class QMLPModel(QuantileModel):
                         f"(learning_rate={self.learning_rate})")
                 epoch_loss += loss * idx.size
 
-                self._backward(acts, masks, g, grads_w, grads_b)
+                self._backward(acts, masks, g, grads)
                 step += 1
                 _adam_step(params, grad, m_state, v_state, scratch, lr, step)
 
@@ -252,15 +256,3 @@ class QMLPModel(QuantileModel):
                 "learning_rate": self.learning_rate,
                 "batch_size": self.batch_size, "max_epochs": self.max_epochs,
                 "patience": self.patience, "lr_decay": self.lr_decay}
-
-    def _state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
-        arrays = {}
-        for i, (w, b) in enumerate(zip(self._weights, self._biases)):
-            arrays[f"W{i}"] = w
-            arrays[f"b{i}"] = b
-        return {"n_layers_total": len(self._weights)}, arrays
-
-    def _restore(self, meta, arrays) -> None:
-        total = meta["n_layers_total"]
-        self._weights = [arrays[f"W{i}"] for i in range(total)]
-        self._biases = [arrays[f"b{i}"] for i in range(total)]

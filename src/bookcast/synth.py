@@ -70,13 +70,21 @@ def _arrival_offsets(rng: np.random.Generator, n: int, a: float, b: float,
     return (lo + u * (hi - lo)) ** (1.0 / p)
 
 
+def gate_hours(cfg: SynthConfig, spec: ProductSpec) -> float:
+    """The product's gate-closure offset in hours; a session that does not
+    open before the gate closes is a ValueError."""
+    gate_h = spec.delta_m / dt.timedelta(hours=1)
+    if cfg.session_hours <= gate_h:
+        raise ValueError(f"session_hours {cfg.session_hours} must exceed the "
+                         f"{spec.market} gate-closure offset of {gate_h} h")
+    return gate_h
+
+
 def generate(cfg: SynthConfig, spec: ProductSpec, start: dt.datetime,
              end: dt.datetime) -> SynthDataset:
     """Trades for every product in [start, end), fully determined by cfg.seed."""
-    gate_h = spec.delta_m / dt.timedelta(hours=1)
+    gate_h = gate_hours(cfg, spec)
     duration_h = cfg.session_hours - gate_h
-    if duration_h <= 0:
-        raise ValueError("session_hours must exceed the gate-closure offset")
 
     product_starts = enumerate_products(spec, start, end)
     # per-product chunks of (product_us, index within product, exec_us,

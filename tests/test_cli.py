@@ -462,6 +462,11 @@ COMMAND_NAMES = ("synth", "extract", "select", "train", "evaluate", "transfer")
     ("transfer.seeds", {"transfer": {"seeds": 3}}),
     ("transfer.domain_b.synth",
      {"transfer": {"domain_b": {"synth": {"liquidity": -1}}}}),
+    ("model.config", {"model": {"config": {"bogus": 1}}}),
+    ("transfer.model_config", {"transfer": {"model_config": {"bogus": 1}}}),
+    ("synth.session_hours", {"synth": {"session_hours": 0.2}}),
+    ("transfer.domain_b.synth",
+     {"transfer": {"domain_b": {"synth": {"session_hours": 0.3}}}}),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_bad_config_exits_2_before_any_work(tmp_path, capsys, monkeypatch, field, extra):
     calls = {"generate": 0, "build_samples": 0, "tune_alpha": 0}
@@ -478,6 +483,19 @@ def test_bad_config_exits_2_before_any_work(tmp_path, capsys, monkeypatch, field
         assert "Traceback" not in err
     assert calls == {"generate": 0, "build_samples": 0, "tune_alpha": 0}
     assert not (tmp_path / "ws").exists()
+
+
+def test_model_config_checks_keys_not_values(tmp_path, capsys):
+    # the search overrides the keys it samples, so a bad value is not a
+    # config error; a key the family's constructor lacks, or one the run
+    # sets itself, is
+    run = Run(load_config(str(write_cfg(tmp_path, model={"config": {"n_neighbors": 0}})), {}))
+    assert run.model_config == {"n_neighbors": 0}
+    for key in ("bogus", "seed", "quantiles"):
+        cfg = write_cfg(tmp_path, model={"config": {key: 1}})
+        assert run_cli("train", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert "'model.config'" in err and f"['{key}']" in err, err
 
 
 def test_readme_config_loads_with_unquoted_timestamps(tmp_path):

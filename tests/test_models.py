@@ -236,7 +236,7 @@ def test_qgbt_bins_beyond_int16():
     m.fit(X, X[:, 0])
     # the 0.875-quantile of y is 34999, so the pure split of the residual
     # signs sends x <= 34998 left
-    tree = m._trees[0][0]
+    tree = m._tree(0)
     assert tree.feature[0] == 0
     assert 34998.0 <= tree.threshold[0] < 34999.0
 
@@ -309,8 +309,9 @@ def test_qgbt_splits_match_plain_loop_oracle(cfg):
     for qi, tau in enumerate(Q3):
         # replay the fit's row and feature draws and its residuals
         draw = rng_for(seed, qi)
-        pred = np.full(n, model._base[qi])
-        for tree in model._trees[qi]:
+        pred = np.full(n, model.state()[1]["base"][qi])
+        for m in range(model.n_estimators):
+            tree = model._tree(qi * model.n_estimators + m)
             rows = (np.arange(n) if n_sub == n
                     else np.sort(draw.choice(n, size=n_sub, replace=False)))
             feats = (np.arange(d) if n_feat == d
@@ -505,7 +506,52 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("family,cfg,extra_meta", [
+    ("qgbt", {"n_estimators": 4, "max_depth": 2, "subsample": 0.8},
+     {"trees_per_tau": [4, 4, 4]}),
+    ("qmlp", {"hidden_size": 8, "n_layers": 2, "max_epochs": 5}, {"n_layers_total": 3}),
+])
+def test_checkpoint_with_derivable_meta_keys_loads(tmp_path, family, cfg, extra_meta):
+    """Checkpoints once carried meta keys that the config implies; such a
+    file still loads and predicts bit for bit."""
+    rng = np.random.default_rng(19)
+    X, y, queries = rng.normal(size=(40, 3)), rng.normal(size=40), rng.normal(size=(7, 3))
+    model = make_model(family, Q3, seed=2, **cfg)
+    model.fit(X, y)
+    path = tmp_path / "old.npz"
+    save_checkpoint(path, model, extra_meta=extra_meta)
+    loaded, _ = load_checkpoint(path)
+    assert np.array_equal(loaded.predict(queries), model.predict(queries))
+
+
+@pytest.mark.parametrize("family,cfg", [
+    ("lqr", {}), ("qknn", {"n_neighbors": 3}), ("qgbt", {"n_estimators": 2}),
+    ("qmlp", {"hidden_size": 4, "n_layers": 2, "max_epochs": 1}),
+])
+def test_checkpoint_missing_an_array_names_it(tmp_path, family, cfg):
+    rng = np.random.default_rng(20)
+    model = make_model(family, Q3, seed=0, **cfg)
+    model.fit(rng.normal(size=(12, 2)), rng.normal(size=12))
+    path = tmp_path / "partial.npz"
+    save_checkpoint(path, model)
+    dropped = model.array_names[-1]
+    with np.load(path) as data:
+        kept = {k: data[k] for k in data.files if k != dropped}
+    np.savez(path, **kept)
+    with pytest.raises(ValueError, match=f"lacks parameter arrays \\['{dropped}'\\]"):
+        load_checkpoint(path)
+
+
 # ---------------------------------------------------------------- shared contract
+
+# checkpoint array names, in order: bench/tracer.py reads qgbt's "feature",
+# and files written before must keep loading
+ARRAY_NAMES = {
+    "lqr": ["beta", "intercept"],
+    "qknn": ["X", "y"],
+    "qgbt": ["base", "feature", "threshold", "left", "right", "value", "tree_start"],
+    "qmlp": ["W0", "b0", "W1", "b1", "W2", "b2"],
+}
 
 SMALL_CFGS = [
     ("lqr", {"l1_weight": 0.01}),
@@ -521,6 +567,8 @@ def test_families_inherit_the_contract():
         for name in ("fit", "predict", "state"):
             assert getattr(cls, name) is getattr(QuantileModel, name), (cls, name)
         assert cls.from_state.__func__ is QuantileModel.from_state.__func__, cls
+        # a fitted model is its checkpoint arrays: no per-family translation
+        assert not any(hasattr(cls, hook) for hook in ("_state", "_restore")), cls
 
 
 @pytest.mark.parametrize("family,cfg", SMALL_CFGS)
@@ -559,9 +607,10 @@ def test_state_survives_from_state(family, cfg, with_val):
     model.fit(X, y, *val)
     meta, arrays = model.state()
     assert meta["family"] == family and meta["config"] == model.config()
+    assert list(arrays) == ARRAY_NAMES[family]
     meta2, arrays2 = type(model).from_state(meta, arrays).state()
     assert meta2 == meta
-    assert sorted(arrays2) == sorted(arrays)
+    assert list(arrays2) == list(arrays)
     for key, a in arrays.items():
         b = arrays2[key]
         assert (b.dtype, b.shape, b.tobytes()) == (a.dtype, a.shape, a.tobytes()), key
