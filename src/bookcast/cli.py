@@ -42,8 +42,8 @@ from .market import ProductSpec, SplitBoundaries, split_dataset
 from .metrics import MetricReport, evaluate, summarize_runs, summary_cells
 from .models import FAMILIES, load_checkpoint, save_checkpoint
 from .search import write_trials_jsonl
-from .selection import (SelectionResult, SolverConfig, default_alpha_grid,
-                        importance_breakdown, top_k, top_k_union)
+from .selection import (SOLVER_FIELDS, SelectionResult, SolverConfig, default_alpha_grid,
+                        importance_breakdown, solver_config, top_k, top_k_union)
 from .transfer import (FEATURE_MODES, STRATEGIES, check_strategies,
                        domain_from_split, ensure_selection, run_pair, sweep_point)
 from .util import UTC, config_hash, file_sha256, parse_timestamp
@@ -241,9 +241,8 @@ class Run:
         self.synth_cfg = _read("synth", lambda raw: synth.SynthConfig(seed=seed, **raw),
                                cfg["synth"])
         _read("synth.session_hours", synth.gate_hours, self.synth_cfg, self.spec)
-        self.solver_cfg = SolverConfig(**{
-            f: _read(f"selector.{f}", conv, sel[f]) for f, conv in
-            (("kappa", float), ("stages", int), ("max_iter", int), ("rel_tol", float))})
+        self.solver_cfg = SolverConfig(**{f: _read(f"selector.{f}", cast, sel[f])
+                                          for f, cast in SOLVER_FIELDS.items()})
         self.alpha_grid = default_alpha_grid(
             _read("selector.alpha_grid_size", _count, sel["alpha_grid_size"]))
         self.top_k = _read("selector.top_k", _count, sel["top_k"])
@@ -259,6 +258,9 @@ class Run:
         self.transfer_config = _read("transfer.model_config",
                                      _model_config(self.transfer_family),
                                      tcfg["model_config"])
+        for field, conf in (("model.config", self.model_config),
+                            ("transfer.model_config", self.transfer_config)):
+            _read(f"{field}.solver", solver_config, conf.get("solver"))
         self.transfer_budget = _read("transfer.budget", _count, tcfg["budget"])
         self.transfer_seeds = _read("transfer.seeds", _seeds, tcfg["seeds"])
         self.strategies = _read("transfer.strategies", check_strategies,

@@ -7,11 +7,11 @@ the same shrinkage effect regardless of dataset size.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
-from ..selection import SolverConfig, fit_l1_lqr
+from ..selection import SolverConfig, fit_l1_lqr, solver_config
 from .base import QuantileModel, TrainReport
 
 
@@ -20,12 +20,12 @@ class LQRModel(QuantileModel):
     array_names = ("beta", "intercept")   # (|Q|, D) slopes, (|Q|,) intercepts
 
     def __init__(self, quantiles, seed: int = 0, l1_weight: float = 1e-8,
-                 solver: Optional[SolverConfig] = None):
+                 solver: Optional[Union[SolverConfig, Mapping]] = None):
         super().__init__(quantiles, seed)
         if l1_weight < 0:
             raise ValueError("l1_weight must be non-negative")
         self.l1_weight = float(l1_weight)
-        self.solver = solver or SolverConfig()
+        self.solver = solver_config(solver)
 
     def _fit(self, X, y, X_val, y_val) -> TrainReport:
         betas = []

@@ -77,8 +77,8 @@ class QKNNModel(QuantileModel):
             if self.weights == "uniform":
                 out[lo: lo + chunk] = np.quantile(neigh_y, taus, axis=1).T
                 continue
-            # weighted_quantile_geq per row: stable sort by target, normalized
-            # cumulative weight, first position whose weight reaches tau
+            # per row, the smallest target whose normalized cumulative weight
+            # reaches tau: stable sort by target, first position at or above tau
             w = 1.0 / (np.take_along_axis(dists, order, axis=1) + DISTANCE_EPS)
             by_y = np.argsort(neigh_y, axis=1, kind="stable")
             neigh_y = np.take_along_axis(neigh_y, by_y, axis=1)

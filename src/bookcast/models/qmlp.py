@@ -8,16 +8,16 @@ AQL (patience 10) and restores the best-epoch weights.
 
 During training all weights and biases live in one flat float64 vector
 (W then b per layer; the model's arrays W{i} and b{i} are views of it).
-Backprop writes into one flat gradient vector, Adam updates the parameters
-in place in fixed blocks, and the best epoch is snapshotted into one more
-vector, so training holds about five parameter-sized vectors (parameters,
-gradient, Adam's two moments, best epoch) and allocates none of them per
-step.
+Backprop writes each layer's gradients into one buffer sized to the largest
+layer, and Adam updates that layer's parameters in place, in fixed blocks,
+as soon as backprop reads its weights no more. With the best-epoch
+snapshot, training holds four parameter-sized vectors (parameters, Adam's
+two moments, best epoch) plus that buffer, and allocates none per step.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -35,13 +35,16 @@ ADAM_EPS = 1e-8
 ADAM_BLOCK = 1 << 15
 
 
-def _flat_layers(shapes) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+def _flat_layers(shapes, shared: bool = False) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
     """A flat float64 vector and its per-layer views W{i} (fan_in, fan_out)
-    and b{i} (fan_out,), laid out W then b per layer."""
-    flat = np.empty(sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes))
+    and b{i} (fan_out,), laid out W then b per layer; with ``shared`` each
+    layer's views start at 0 of one vector sized to the largest layer."""
+    sizes = [fan_in * fan_out + fan_out for fan_in, fan_out in shapes]
+    flat = np.empty(max(sizes) if shared else sum(sizes))
     views = {}
     lo = 0
     for i, (fan_in, fan_out) in enumerate(shapes):
+        lo = 0 if shared else lo
         hi = lo + fan_in * fan_out
         views[f"W{i}"] = flat[lo:hi].reshape(fan_in, fan_out)
         views[f"b{i}"] = flat[hi:hi + fan_out]
@@ -149,26 +152,26 @@ class QMLPModel(QuantileModel):
         grad = np.where(diff >= 0, -taus, 1.0 - taus) * scale
         return loss, grad
 
-    def _backward(self, acts, masks, g: np.ndarray, grads) -> None:
+    def _backward(self, acts, masks, g: np.ndarray, grads) -> Iterator[int]:
         """Parameter gradients from d(loss)/d(output), written into the
-        named per-layer views ``grads`` of a flat gradient vector.
+        named per-layer views ``grads``, top layer first. Yields each layer
+        once its gradients are written and its weights are read no more.
 
         Post-dropout activations are zero wherever a unit was dropped or the
         ReLU was inactive, so (activation > 0) recovers the exact ReLU gate
         on the surviving units.
         """
-        top = self.n_layers
-        np.matmul(acts[top].T, g, out=grads[f"W{top}"])
-        np.sum(g, axis=0, out=grads[f"b{top}"])
-        upstream = g @ self._arrays[f"W{top}"].T
-        for l in range(top - 1, -1, -1):
-            if masks[l] is not None:
-                upstream = upstream * masks[l] / (1.0 - self.dropout_rate)
-            upstream = upstream * (acts[l + 1] > 0)
+        upstream = g
+        for l in range(self.n_layers, -1, -1):
+            if l < self.n_layers:
+                if masks[l] is not None:
+                    upstream = upstream * masks[l] / (1.0 - self.dropout_rate)
+                upstream = upstream * (acts[l + 1] > 0)
             np.matmul(acts[l].T, upstream, out=grads[f"W{l}"])
             np.sum(upstream, axis=0, out=grads[f"b{l}"])
             if l > 0:
                 upstream = upstream @ self._arrays[f"W{l}"].T
+            yield l
 
     def loss_and_grads(self, X: np.ndarray, y: np.ndarray):
         """Full-batch loss and analytic parameter gradients (fresh arrays,
@@ -176,7 +179,7 @@ class QMLPModel(QuantileModel):
         out, (acts, masks) = self._forward(np.asarray(X, dtype=float))
         loss, g = self._loss_grad_out(np.asarray(y, dtype=float), out)
         _, grads = _flat_layers(self._shapes())
-        self._backward(acts, masks, g, grads)
+        list(self._backward(acts, masks, g, grads))
         return loss, [grads[name] for name in self.array_names]
 
     def parameters(self) -> List[np.ndarray]:
@@ -192,10 +195,13 @@ class QMLPModel(QuantileModel):
         dropout_rng = rng_for(self.seed, 2)
         batch = min(self.batch_size, n)
 
-        grad, grads = _flat_layers(self._shapes())
+        # Adam updates each layer from the shared buffer as backprop yields it
+        grad, grads = _flat_layers(self._shapes(), shared=True)
+        ends = np.cumsum([0] + [grads[f"W{l}"].size + grads[f"b{l}"].size
+                                for l in range(self.n_layers + 1)])
         m_state = np.zeros_like(params)
         v_state = np.zeros_like(params)
-        scratch = np.empty((2, min(ADAM_BLOCK, params.size)))
+        scratch = np.empty((2, min(ADAM_BLOCK, grad.size)))
         step = 0
 
         report = TrainReport()
@@ -220,9 +226,11 @@ class QMLPModel(QuantileModel):
                         f"(learning_rate={self.learning_rate})")
                 epoch_loss += loss * idx.size
 
-                self._backward(acts, masks, g, grads)
                 step += 1
-                _adam_step(params, grad, m_state, v_state, scratch, lr, step)
+                for l in self._backward(acts, masks, g, grads):
+                    part = slice(ends[l], ends[l + 1])
+                    _adam_step(params[part], grad, m_state[part], v_state[part],
+                               scratch, lr, step)
 
             report.loss_trace.append(epoch_loss / n)
             if validate:

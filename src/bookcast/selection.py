@@ -12,7 +12,7 @@ sparsity directly off the coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,6 +32,18 @@ class SolverConfig:
     stages: int = 3
     max_iter: int = 10_000
     rel_tol: float = 1e-8
+
+
+# each SolverConfig field's type; YAML reads an exponent such as 1e-3 as text
+SOLVER_FIELDS = {k: type(v) for k, v in asdict(SolverConfig()).items()}
+
+
+def solver_config(value) -> SolverConfig:
+    """``value`` if a SolverConfig, else one from a mapping of its fields,
+    each cast to its SOLVER_FIELDS type."""
+    return value if isinstance(value, SolverConfig) else SolverConfig(
+        **{k: SOLVER_FIELDS[k](v) if k in SOLVER_FIELDS else v
+           for k, v in dict(value or {}).items()})
 
 
 @dataclass

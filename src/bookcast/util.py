@@ -58,18 +58,6 @@ def pinball_quantile(values: np.ndarray, tau: float) -> float:
     return float(np.partition(v, k - 1)[k - 1])
 
 
-def weighted_quantile_geq(values: np.ndarray, weights: np.ndarray, tau: float) -> float:
-    """Smallest value whose cumulative normalized weight reaches tau."""
-    v = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    order = np.argsort(v, kind="stable")
-    v, w = v[order], w[order]
-    cum = np.cumsum(w) / np.sum(w)
-    idx = int(np.searchsorted(cum, tau, side="left"))
-    idx = min(idx, v.size - 1)
-    return float(v[idx])
-
-
 def stable_json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 

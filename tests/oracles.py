@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from bookcast.metrics import aql
-from bookcast.util import rng_for, to_micros, weighted_quantile_geq
+from bookcast.util import rng_for, to_micros
 
 
 def brute_id3(trades, t_d, delta_m):
@@ -169,6 +169,18 @@ def brute_knn_quantiles(X_train, y_train, query, k, taus, metric="euclidean"):
         d = np.abs(X_train - query).sum(axis=1)
     near = y_train[np.argsort(d, kind="stable")[:k]]
     return np.quantile(near, taus)
+
+
+def weighted_quantile_geq(values: np.ndarray, weights: np.ndarray, tau: float) -> float:
+    """Smallest value whose cumulative normalized weight reaches tau."""
+    v = np.asarray(values, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    order = np.argsort(v, kind="stable")
+    v, w = v[order], w[order]
+    cum = np.cumsum(w) / np.sum(w)
+    idx = int(np.searchsorted(cum, tau, side="left"))
+    idx = min(idx, v.size - 1)
+    return float(v[idx])
 
 
 def per_row_knn_predict(X_train, y_train, queries, k, taus, metric, weights,

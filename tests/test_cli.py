@@ -213,17 +213,32 @@ def test_transfer_outputs(tmp_path):
     assert c_vals[0] * c_vals[1] == pytest.approx(1.0, rel=1e-9)
 
 
-def test_cli_entrypoint_subprocess(tmp_path):
-    cfg = write_cfg(tmp_path)
+def _child_env():
     # pytest's pythonpath setting reaches this process only, not the child
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def test_cli_entrypoint_subprocess(tmp_path):
+    cfg = write_cfg(tmp_path)
     proc = subprocess.run([sys.executable, "-m", "bookcast.cli", "synth",
                            "--config", str(cfg)],
-                          env=env, capture_output=True, text=True)
+                          env=_child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "trades.csv" in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy adds about 43 MB of resident memory to every command; only the
+    # benchmark's and the tests' oracles may import it
+    code = ("import sys, bookcast.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_train_parallel_jobs_matches_sequential(tmp_path):
@@ -467,6 +482,8 @@ COMMAND_NAMES = ("synth", "extract", "select", "train", "evaluate", "transfer")
     ("synth.session_hours", {"synth": {"session_hours": 0.2}}),
     ("transfer.domain_b.synth",
      {"transfer": {"domain_b": {"synth": {"session_hours": 0.3}}}}),
+    ("model.config.solver",
+     {"model": {"family": "lqr", "config": {"solver": {"bogus": 1}}}}),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_bad_config_exits_2_before_any_work(tmp_path, capsys, monkeypatch, field, extra):
     calls = {"generate": 0, "build_samples": 0, "tune_alpha": 0}
@@ -496,6 +513,14 @@ def test_model_config_checks_keys_not_values(tmp_path, capsys):
         assert run_cli("train", "--config", str(cfg)) == 2
         err = capsys.readouterr().err
         assert "'model.config'" in err and f"['{key}']" in err, err
+
+
+def test_lqr_solver_mapping_trains(tmp_path):
+    cfg = write_cfg(tmp_path, model={"family": "lqr",
+                                     "config": {"solver": {"max_iter": 50, "stages": 1}}})
+    assert run_cli("train", "--config", str(cfg)) == 0
+    trials = (_hash_dir(tmp_path / "ws", "models") / "trials_seed0.jsonl").read_text()
+    assert [json.loads(line)["status"] for line in trials.splitlines()] == ["ok", "ok"]
 
 
 def test_readme_config_loads_with_unquoted_timestamps(tmp_path):
