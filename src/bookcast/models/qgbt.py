@@ -1,17 +1,20 @@
 """Histogram gradient-boosted trees with quantile leaves, one ensemble per
 quantile level.
 
-Trees grow depth-wise on 256-bin feature histograms. Split search at a node
-builds one flat (features x bins) histogram of counts and gradient sums
-across all features, one scatter-add each, then takes prefix sums, gains
-and one argmax over the whole 2-D array. Splits maximize the
-variance-style gain of the pinball-loss gradient (which depends only on the
-residual sign); ties go to the lowest feature position, then the lowest bin.
-Each leaf is then re-valued as the pinball-minimizing quantile of the raw
-residuals it holds, so every boosting step can only reduce the training
-pinball loss when no subsampling is active. reg_alpha soft-thresholds leaf
-values and reg_lambda shrinks them by n/(n + lambda) before the learning
-rate is applied.
+Trees grow depth-wise on feature histograms. Each feature is cut at the
+distinct quantiles of its training column (at most max_bins bins), and its
+histogram spans only the bins its training rows occupy, so a split
+threshold is always the upper edge of an occupied bin. Split search at a
+node builds one flat (features x bins) histogram of counts and gradient
+sums across all features, one flat scatter-add each in row order, then
+takes prefix sums, gains and one argmax over the whole 2-D array. Splits
+maximize the variance-style gain of the pinball-loss gradient (which
+depends only on the residual sign); ties go to the lowest feature position,
+then the lowest bin. Each leaf is then re-valued as the pinball-minimizing
+quantile of the raw residuals it holds, so every boosting step can only
+reduce the training pinball loss when no subsampling is active. reg_alpha
+soft-thresholds leaf values and reg_lambda shrinks them by n/(n + lambda)
+before the learning rate is applied.
 
 The fitted forest is one set of node arrays, quantile by quantile and
 boosting step by step: tree t holds nodes tree_start[t]:tree_start[t + 1],
@@ -53,24 +56,27 @@ class _SplitSearch:
 
     codes[i, p] is row i's slot for feature position p in a row-major
     (feature position x bin) histogram of `width` bins per feature, so
-    codes = binned[:, feats] + offsets. The histogram and gain arrays are
-    allocated once per fit and reused by every node, because fresh arrays
-    of this size cost page faults on each allocation.
+    codes = binned[:, feats] + offsets; `width` is the largest number of
+    occupied bins of any feature. The histogram, gain and repeated-gradient
+    arrays are allocated once per fit and reused by every node, because
+    fresh arrays of this size cost page faults on each allocation.
     """
 
-    def __init__(self, n_feats: int, width: int):
+    def __init__(self, n_rows: int, n_feats: int, width: int):
         self.width = width
         self.offsets = np.arange(n_feats) * width
         self.hist = np.empty((2, n_feats, width))     # counts, gradient sums
         self.gain = np.empty((n_feats, max(width - 1, 0)))
         self.right = np.empty_like(self.gain)
+        self.g_rows = np.empty((n_rows, n_feats))     # g[i] at every codes[i, p]
 
     def best(self, codes: np.ndarray, g: np.ndarray) -> Optional[Tuple[int, int]]:
         """(feature position, bin) of the split sending bins <= bin left, or
         None when no split gains more than 1e-12.
 
-        Every slot adds its rows' gradients in row order, as a per-feature
-        bincount would, so sums do not depend on the histogram layout;
+        Both scatter-adds take flat indices and values, row by row, so every
+        slot adds its rows' gradients in row order, as a per-feature
+        bincount would, and sums do not depend on the histogram layout;
         counts are integers, held exactly in floats. The flat argmax breaks
         ties towards the lowest feature position, then the lowest bin.
         """
@@ -81,8 +87,11 @@ class _SplitSearch:
         hist, gain, right = self.hist, self.gain, self.right
         hist.fill(0.0)
         cnt, sums = hist.reshape(2, -1)
-        np.add.at(cnt, codes, 1.0)
-        np.add.at(sums, codes, g[:, None])
+        g_rows = self.g_rows[:n]
+        g_rows[...] = g[:, None]
+        flat = codes.ravel()
+        np.add.at(cnt, flat, 1.0)
+        np.add.at(sums, flat, g_rows.ravel())
         np.cumsum(hist, axis=2, out=hist)
         cnt_l, sum_l = hist[0, :, :-1], hist[1, :, :-1]
         # gain = sum_l^2 / cnt_l + sum_r^2 / cnt_r - total_sum^2 / n
@@ -95,7 +104,8 @@ class _SplitSearch:
             gain /= cnt_l
             gain += right
             gain -= total_sum * total_sum / n
-        # padded bins and single-bin features leave one side empty
+        # each feature's top occupied bin, the padding above it and
+        # single-bin features leave one side empty
         np.copyto(gain, -np.inf, where=(cnt_l == 0) | (cnt_l == n))
         pos, k = divmod(int(np.argmax(gain)), self.width - 1)
         return (pos, k) if gain[pos, k] > 1e-12 else None
@@ -133,17 +143,26 @@ class QGBTModel(QuantileModel):
         self.max_bins = int(max_bins)
 
     def _bin_features(self, X: np.ndarray) -> Tuple[List[np.ndarray], np.ndarray]:
+        """Each feature's split thresholds, and each row's bin rank.
+
+        Column j is cut at its distinct quantiles at levels k / max_bins;
+        binned[i, j] ranks row i's bin among the bins column j occupies, and
+        thresholds[j][k] is the upper edge of the k-th occupied bin, so
+        rank <= k exactly when x <= thresholds[j][k]. The top occupied bin
+        has no threshold.
+        """
         probe = np.linspace(0.0, 1.0, self.max_bins + 1)[1:-1]
         cuts = np.quantile(X, probe, axis=0)
-        edges_per_feature = []
+        thresholds = []
         binned = np.empty(X.shape, dtype=np.int32)
         for j in range(X.shape[1]):
             edges = np.unique(cuts[:, j])
-            edges_per_feature.append(edges)
-            binned[:, j] = np.searchsorted(edges, X[:, j], side="left")
-        return edges_per_feature, binned
+            occupied, binned[:, j] = np.unique(
+                np.searchsorted(edges, X[:, j], side="left"), return_inverse=True)
+            thresholds.append(edges[occupied[:-1]])
+        return thresholds, binned
 
-    def _grow_tree(self, binned, edges, residual, grad, rows, feats,
+    def _grow_tree(self, binned, thresholds, residual, grad, rows, feats,
                    search: _SplitSearch, tau) -> _Tree:
         codes = binned[:, feats] + search.offsets
         feature, threshold, left, right, value = [-1], [np.nan], [-1], [-1], [np.nan]
@@ -168,7 +187,7 @@ class QGBTModel(QuantileModel):
                 f = int(feats[pos])
                 mask = binned[r, f] <= k
                 feature[node] = f
-                threshold[node] = float(edges[f][k])
+                threshold[node] = float(thresholds[f][k])
                 left[node], right[node] = len(feature), len(feature) + 1
                 for child_rows in (r[mask], r[~mask]):
                     feature.append(-1)
@@ -188,10 +207,11 @@ class QGBTModel(QuantileModel):
 
     def _fit(self, X, y, X_val, y_val) -> TrainReport:
         n, d = X.shape
-        edges, binned = self._bin_features(X)
+        thresholds, binned = self._bin_features(X)
         n_sub = max(1, int(round(self.subsample * n)))
         n_feat = max(1, int(round(self.colsample_by_tree * d))) if d else 0
-        search = _SplitSearch(n_feat, max((e.size + 1 for e in edges), default=0))
+        search = _SplitSearch(n_sub, n_feat,
+                              max((t.size + 1 for t in thresholds), default=0))
 
         base = np.array([pinball_quantile(y, t) for t in self.quantiles])
         trees: List[_Tree] = []
@@ -206,7 +226,7 @@ class QGBTModel(QuantileModel):
                          else np.sort(rng.choice(d, size=n_feat, replace=False)))
                 residual = y - pred
                 grad = np.where(residual >= 0, tau, tau - 1.0)
-                tree = self._grow_tree(binned, edges, residual, grad,
+                tree = self._grow_tree(binned, thresholds, residual, grad,
                                        rows, feats, search, tau)
                 trees.append(tree)
                 pred += tree.apply(X)

@@ -12,6 +12,7 @@ sparsity directly off the coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -73,7 +74,7 @@ def _smooth_loss(r: np.ndarray, tau: float, kappa: float) -> float:
     val = np.where(r >= kappa, tau * r,
                    np.where(r <= -kappa, (tau - 1.0) * r,
                             r * r / (4.0 * kappa) + (tau - 0.5) * r + kappa / 4.0))
-    return float(np.sum(val))
+    return float(val.sum())
 
 
 def _smooth_loss_and_grad(r: np.ndarray, tau: float, kappa: float):
@@ -148,7 +149,7 @@ def _mfista_stage(X, y, tau, alpha, beta, b, kappa, step, cfg, trace):
         r = y - X @ y_beta - y_b
         f_y, g_r = _smooth_loss_and_grad(r, tau, kappa)
         grad_beta = -(X.T @ g_r)
-        grad_b = -float(np.sum(g_r))
+        grad_b = -float(g_r.sum())
 
         step = min(step * 1.25, 1e6)
         while True:
@@ -166,14 +167,14 @@ def _mfista_stage(X, y, tau, alpha, beta, b, kappa, step, cfg, trace):
             if step < 1e-18:
                 break
 
-        f_z_true = (float(np.sum(pinball(y, y - rz, tau)))
-                    + alpha * float(np.sum(np.abs(z_beta))))
+        f_z_true = (float(pinball(y, y - rz, tau).sum())
+                    + alpha * float(np.abs(z_beta).sum()))
         if f_z_true <= f_x:
             new_beta, new_b, f_new = z_beta, z_b, f_z_true
         else:
             new_beta, new_b, f_new = x_beta, x_b, f_x
 
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
         y_beta = new_beta + (t_mom / t_next) * (z_beta - new_beta) \
             + ((t_mom - 1.0) / t_next) * (new_beta - x_beta)
         y_b = new_b + (t_mom / t_next) * (z_b - new_b) \

@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from bookcast.metrics import aql
-from bookcast.util import rng_for, to_micros
+from bookcast.metrics import aql, pinball
+from bookcast.util import pinball_quantile, rng_for, soft_threshold, to_micros
 
 
 def brute_id3(trades, t_d, delta_m):
@@ -246,6 +246,150 @@ def brute_qgbt_node_gains(X, grad, rows, feats, max_bins):
                 out.append((sum_l * sum_l / n_l + sum_r * sum_r / n_r - parent,
                             int(f), cut))
     return out, squares
+
+
+def _reference_bin_features(X, max_bins):
+    """QGBT's binning before histograms spanned only occupied bins: bin b of
+    a feature holds edges[b - 1] < x <= edges[b], and every feature has
+    len(edges) + 1 bins, occupied or not."""
+    probe = np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
+    cuts = np.quantile(X, probe, axis=0)
+    edges_per_feature = []
+    binned = np.empty(X.shape, dtype=np.int32)
+    for j in range(X.shape[1]):
+        edges = np.unique(cuts[:, j])
+        edges_per_feature.append(edges)
+        binned[:, j] = np.searchsorted(edges, X[:, j], side="left")
+    return edges_per_feature, binned
+
+
+def _reference_best_split(codes, g, n_feats, width):
+    """QGBT's split search with 2-D scatter-adds of the broadcast gradients
+    into a histogram `width` bins wide for every feature."""
+    if width < 2:
+        return None
+    n = g.size
+    total_sum = float(g.sum())
+    hist = np.zeros((2, n_feats, width))
+    cnt, sums = hist.reshape(2, -1)
+    np.add.at(cnt, codes, 1.0)
+    np.add.at(sums, codes, g[:, None])
+    np.cumsum(hist, axis=2, out=hist)
+    cnt_l, sum_l = hist[0, :, :-1], hist[1, :, :-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        right = np.empty((n_feats, width - 1))
+        gain = np.empty_like(right)
+        np.subtract(total_sum, sum_l, out=right)
+        np.square(right, out=right)
+        np.subtract(n, cnt_l, out=gain)
+        right /= gain
+        np.square(sum_l, out=gain)
+        gain /= cnt_l
+        gain += right
+        gain -= total_sum * total_sum / n
+    np.copyto(gain, -np.inf, where=(cnt_l == 0) | (cnt_l == n))
+    pos, k = divmod(int(np.argmax(gain)), width - 1)
+    return (pos, k) if gain[pos, k] > 1e-12 else None
+
+
+def _reference_apply(nodes, X):
+    """Leaf value of each row of X in one tree given as node arrays."""
+    feature, threshold, left, right, value = nodes
+    out = np.empty(X.shape[0])
+    for i in range(X.shape[0]):
+        node = 0
+        while feature[node] >= 0:
+            go_left = X[i, feature[node]] <= threshold[node]
+            node = left[node] if go_left else right[node]
+        out[i] = value[node]
+    return out
+
+
+def reference_qgbt_fit(quantiles, seed, X, y, X_pred=None, n_estimators=100,
+                       max_depth=6, learning_rate=0.1, subsample=1.0,
+                       colsample_by_tree=1.0, reg_alpha=0.0, reg_lambda=0.0,
+                       max_bins=256):
+    """QGBT training with every feature binned to len(edges) + 1 bins and
+    2-D broadcast scatter-adds in split search.
+
+    Draws the same row and feature subsamples as ``QGBTModel.fit``. Returns
+    (arrays, loss_trace, predictions): arrays are the checkpoint arrays by
+    name, and predictions are for X_pred (X when None).
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, d = X.shape
+    edges, binned = _reference_bin_features(X, max_bins)
+    n_sub = max(1, int(round(subsample * n)))
+    n_feat = max(1, int(round(colsample_by_tree * d))) if d else 0
+    width = max((e.size + 1 for e in edges), default=0)
+    offsets = np.arange(n_feat) * width
+
+    def leaf_value(residual, r, tau):
+        v = pinball_quantile(residual[r], tau)
+        v = float(soft_threshold(np.array([v]), reg_alpha)[0])
+        v *= r.size / (r.size + reg_lambda)
+        return v * learning_rate
+
+    base = np.array([pinball_quantile(y, t) for t in quantiles])
+    trees = []
+    traces = np.zeros((len(quantiles), n_estimators))
+    for qi, tau in enumerate(quantiles):
+        rng = rng_for(seed, qi)
+        pred = np.full(n, base[qi])
+        for m in range(n_estimators):
+            rows = (np.arange(n) if n_sub == n
+                    else np.sort(rng.choice(n, size=n_sub, replace=False)))
+            feats = (np.arange(d) if n_feat == d
+                     else np.sort(rng.choice(d, size=n_feat, replace=False)))
+            residual = y - pred
+            grad = np.where(residual >= 0, tau, tau - 1.0)
+            codes = binned[:, feats] + offsets
+            feature, threshold, left, right, value = [-1], [np.nan], [-1], [-1], [np.nan]
+            node_rows, node_depth = [rows], [0]
+            node = 0
+            while node < len(feature):
+                r = node_rows[node]
+                best = None
+                if node_depth[node] < max_depth and r.size >= 2:
+                    best = _reference_best_split(codes[r], grad[r], n_feat, width)
+                if best is None:
+                    value[node] = leaf_value(residual, r, tau)
+                else:
+                    pos, k = best
+                    f = int(feats[pos])
+                    mask = binned[r, f] <= k
+                    feature[node] = f
+                    threshold[node] = float(edges[f][k])
+                    left[node], right[node] = len(feature), len(feature) + 1
+                    for child_rows in (r[mask], r[~mask]):
+                        feature.append(-1)
+                        threshold.append(np.nan)
+                        left.append(-1)
+                        right.append(-1)
+                        value.append(np.nan)
+                        node_rows.append(child_rows)
+                        node_depth.append(node_depth[node] + 1)
+                node += 1
+            tree = (np.array(feature, dtype=np.intp), np.array(threshold, dtype=float),
+                    np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
+                    np.array(value, dtype=float))
+            trees.append(tree)
+            pred += _reference_apply(tree, X)
+            traces[qi, m] = float(np.mean(pinball(y, pred, tau)))
+    names = ("feature", "threshold", "left", "right", "value")
+    arrays = {"base": base}
+    for i, name in enumerate(names):
+        arrays[name] = np.concatenate([t[i] for t in trees])
+    arrays["tree_start"] = np.cumsum([0] + [t[0].size for t in trees], dtype=np.int64)
+    X_pred = X if X_pred is None else np.asarray(X_pred, dtype=float)
+    predictions = np.empty((X_pred.shape[0], len(quantiles)))
+    for qi in range(len(quantiles)):
+        out = np.full(X_pred.shape[0], base[qi])
+        for tree in trees[qi * n_estimators: (qi + 1) * n_estimators]:
+            out += _reference_apply(tree, X_pred)
+        predictions[:, qi] = out
+    return arrays, list(traces.mean(axis=0)), predictions
 
 
 def reference_qmlp_fit(quantiles, seed, X, y, X_val=None, y_val=None,

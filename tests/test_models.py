@@ -3,12 +3,13 @@ import pytest
 
 from bookcast.metrics import pinball
 from bookcast.models import (LQRModel, QGBTModel, QKNNModel, QMLPModel,
-                             load_checkpoint, make_model, save_checkpoint)
+                             load_checkpoint, make_model, qgbt, save_checkpoint)
 from bookcast.selection import SolverConfig
 from bookcast.util import pinball_quantile, rng_for
 from oracles import (brute_knn_quantiles, brute_qgbt_node_gains,
                      per_row_knn_predict, pinball_optimal_intercept,
-                     reference_qmlp_fit, weighted_quantile_geq)
+                     reference_qgbt_fit, reference_qmlp_fit,
+                     weighted_quantile_geq)
 
 Q3 = (0.1, 0.5, 0.9)
 
@@ -332,6 +333,63 @@ def test_qgbt_splits_match_plain_loop_oracle(cfg):
             grad = np.where(residual >= 0, tau, tau - 1.0)
             _check_qgbt_tree(model, tree, X, residual, grad, rows, feats, tau)
             pred += tree.apply(X)
+
+
+def _qgbt_fuzz_data(case, n):
+    """n rows of six columns: three continuous, one constant, one rounded
+    to a few values and one duplicating column 0; plus 20 new rows, some
+    outside the training range."""
+    rng = np.random.default_rng(300 + case)
+    X = rng.normal(size=(n, 6))
+    X[:, 1] *= rng.exponential(size=n)        # heavy tails
+    X[:, 3] = -1.25                            # constant
+    X[:, 4] = np.round(2.0 * X[:, 4]) / 2.0    # few distinct values
+    X[:, 5] = X[:, 0]                          # duplicated column
+    y = 3.0 * X[:, 0] + np.sin(2.0 * X[:, 1]) + X[:, 4] + rng.normal(size=n)
+    X_new = np.vstack([X[:10], 3.0 * rng.normal(size=(20, 6))])
+    return X, y, X_new
+
+
+@pytest.mark.parametrize("case,n,cfg", [
+    (0, 40, {"n_estimators": 4, "max_depth": 3}),
+    (1, 300, {"n_estimators": 4, "max_depth": 5, "max_bins": 16, "subsample": 0.7}),
+    (2, 120, {"n_estimators": 5, "max_depth": 2, "max_bins": 4,
+              "colsample_by_tree": 0.5}),
+    (3, 90, {"n_estimators": 3, "max_depth": 4, "max_bins": 40000}),
+    (4, 500, {"n_estimators": 4, "max_depth": 1, "subsample": 0.5,
+              "colsample_by_tree": 0.6, "reg_alpha": 0.05, "reg_lambda": 2.0}),
+    (5, 60, {"n_estimators": 2, "max_depth": 0}),
+    (6, 200, {"n_estimators": 3, "max_depth": 4, "max_bins": 16,
+              "colsample_by_tree": 0.4, "learning_rate": 0.5}),
+    (7, 12, {"n_estimators": 3, "max_depth": 5, "max_bins": 4, "subsample": 0.8}),
+    (8, 700, {"n_estimators": 2, "max_depth": 5, "subsample": 0.9,
+              "colsample_by_tree": 0.8}),
+])
+def test_qgbt_fit_matches_reference_bit_for_bit(case, n, cfg, monkeypatch):
+    """Histograms over occupied bins and flat scatter-adds grow the same
+    trees, bit for bit, as full-width histograms with 2-D scatter-adds; and
+    a histogram is no wider than a feature can occupy, so 40 rows binned
+    with max_bins=256 (case 0) search at most 40 bins per feature."""
+    widths = []
+
+    class Recording(qgbt._SplitSearch):
+        def __init__(self, n_rows, n_feats, width):
+            widths.append(width)
+            super().__init__(n_rows, n_feats, width)
+
+    monkeypatch.setattr(qgbt, "_SplitSearch", Recording)
+    X, y, X_new = _qgbt_fuzz_data(case, n)
+    model = QGBTModel(Q3, seed=case, **cfg)
+    report = model.fit(X, y)
+    assert widths and max(widths) <= min(n, model.max_bins)
+    arrays, loss_trace, predictions = reference_qgbt_fit(Q3, case, X, y, X_new, **cfg)
+    got = model.state()[1]
+    assert list(got) == list(arrays)
+    for name, want in arrays.items():
+        assert got[name].dtype == want.dtype, name
+        assert got[name].tobytes() == want.tobytes(), name
+    assert report.loss_trace == loss_trace
+    assert model.predict(X_new).tobytes() == predictions.tobytes()
 
 
 # ---------------------------------------------------------------- QMLP
