@@ -9,7 +9,7 @@ the median head for the pointwise view.
 import datetime as dt
 
 from bookcast import ProductSpec, SplitBoundaries, SynthConfig
-from bookcast.experiment import design_matrix, run_experiment
+from bookcast.experiment import design_matrix, run_experiment, score
 from bookcast.search import ParamSpec, SearchSpace
 from bookcast.selection import SolverConfig, default_alpha_grid
 from bookcast.synth import build_domain
@@ -33,7 +33,6 @@ print(f"using {len(names)} features\n")
 
 train = design_matrix(domain.split.train, names)
 val = design_matrix(domain.split.val, names)
-test = design_matrix(domain.split.test, names)
 
 # desk-scale spaces (subsets of the full search ranges)
 qmlp_space = SearchSpace({
@@ -60,8 +59,8 @@ for family, space, base in (
     ("qgbt", qgbt_space, None),
     ("qmlp", qmlp_space, {"max_epochs": 40, "patience": 6}),
 ):
-    result = run_experiment(names, train, val, test, family, budget=8, seed=0,
+    result = run_experiment(names, train, val, family, budget=8, seed=0,
                             quantiles=quantiles, space=space, base_config=base)
-    r = result.report
+    r = score(result.model, result.prep, domain.split.test, quantiles)
     print(f"{family:8s} {r.aql:8.3f} {100 * r.aqcr:8.2f} {r.rmse:8.2f} "
           f"{r.mae:8.2f} {r.r2:8.3f}")

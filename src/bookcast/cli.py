@@ -21,17 +21,14 @@ import argparse
 import csv
 import dataclasses
 import datetime as dt
-import inspect
 import json
 import logging
 import sys
 import zoneinfo
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import yaml
 
 from ._version import __version__
 from . import market, synth
@@ -121,16 +118,20 @@ def load_config(path: Optional[str], overrides: Dict[str, object]) -> dict:
         if not p.exists():
             raise ConfigError(f"config file not found: {path}")
         text = p.read_text()
-        try:
-            loaded = yaml.safe_load(text) if p.suffix in (".yaml", ".yml") \
-                else json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}, line {exc.lineno}: {exc.msg}") from None
-        except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            where = f", line {mark.line + 1}" if mark is not None else ""
-            problem = getattr(exc, "problem", None) or exc
-            raise ConfigError(f"{path}{where}: {problem}") from None
+        if p.suffix in (".yaml", ".yml"):
+            import yaml  # only YAML configs pay for the import
+            try:
+                loaded = yaml.safe_load(text)
+            except yaml.YAMLError as exc:
+                mark = getattr(exc, "problem_mark", None)
+                where = f", line {mark.line + 1}" if mark is not None else ""
+                problem = getattr(exc, "problem", None) or exc
+                raise ConfigError(f"{path}{where}: {problem}") from None
+        else:
+            try:
+                loaded = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}, line {exc.lineno}: {exc.msg}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config root must be a mapping")
         cfg = _merge(cfg, loaded)
@@ -188,11 +189,9 @@ def _seeds(value) -> List[int]:
 
 def _model_config(family: str):
     """Parser of a model-config mapping for ``family``: its keys must be
-    keywords of the family's constructor other than the run-set quantiles
-    and seed. Values are left to the model, since the search overrides the
-    keys it samples."""
-    known = sorted(set(inspect.signature(FAMILIES[family]).parameters)
-                   - {"quantiles", "seed"})
+    the family's ``config_keys``. Values are left to the model, since the
+    search overrides the keys it samples."""
+    known = sorted(FAMILIES[family].config_keys())
 
     def parse(value) -> dict:
         value = dict(value or {})
@@ -432,10 +431,11 @@ def _train_one(args) -> tuple:
 def cmd_train(run: Run) -> Path:
     names = _feature_set(run)
     split = _split(run)
-    parts = tuple(design_matrix(rows, names) for rows in (split.train, split.val, split.test))
+    parts = tuple(design_matrix(rows, names) for rows in (split.train, split.val))
     out_dir = run.dir("models")
     tasks = [(run, names, parts, seed) for seed in run.seeds]
     if run.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=run.jobs) as pool:
             results = dict(pool.map(_train_one, tasks))
     else:

@@ -1,10 +1,9 @@
-"""One experiment unit: standardize, search hyperparameters, evaluate.
+"""One experiment unit: standardize and search; then score.
 
-The runner slices a named feature subset out of the canonical universe,
-z-scores it with training statistics, searches the family's space on
-train/validation, returns the winning trial's model, and reports test
-metrics. Test data is standardized with the TRAINING statistics
-and only touched in the final evaluation step.
+``run_experiment`` sees train and validation data only: it z-scores the
+named features with training statistics, searches the family's space and
+returns the winning trial's model with its preprocessing. ``score`` tests
+that model on any samples, standardized with the TRAINING statistics.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ def design_matrix(samples: Sequence[Sample],
 
 @dataclass
 class ExperimentResult:
-    report: MetricReport
     best_trial: Trial
     trials: List[Trial]
     model: QuantileModel
@@ -62,24 +60,28 @@ class ExperimentResult:
 def run_experiment(feature_names: Sequence[str],
                    train: Tuple[np.ndarray, np.ndarray],
                    val: Tuple[np.ndarray, np.ndarray],
-                   test: Tuple[np.ndarray, np.ndarray],
                    family: str, budget: int, seed: int, quantiles,
                    space: Optional[SearchSpace] = None,
                    base_config: Optional[Config] = None) -> ExperimentResult:
     X_tr, y_tr = train
     X_val, y_val = val
-    X_te, y_te = test
-    X_tr_s, (X_val_s, X_te_s), mean, scale, _ = standardize(X_tr, X_val, X_te)
+    X_tr_s, (X_val_s,), mean, scale, _ = standardize(X_tr, X_val)
     space = space or default_space(family)
     data = SearchData(X_tr_s, y_tr, X_val_s, y_val)
     best, trials = run_search(family, space, budget, data, quantiles,
                               seed=seed, base_config=base_config)
-    model = best.model
-    report = evaluate(y_te, model.predict(X_te_s), quantiles)
     prep = {"feature_names": list(feature_names), "mean": mean, "scale": scale}
-    return ExperimentResult(report=report, best_trial=best, trials=trials,
-                            model=model, prep=prep)
+    return ExperimentResult(best_trial=best, trials=trials, model=best.model,
+                            prep=prep)
 
 
 def apply_prep(X: np.ndarray, prep: Dict[str, object]) -> np.ndarray:
     return (X - prep["mean"]) / prep["scale"]
+
+
+def score(model: QuantileModel, prep: Dict[str, object],
+          samples: Sequence[Sample], quantiles) -> MetricReport:
+    """The model's metrics on the supervised ``samples``, preprocessed as it
+    was trained."""
+    X, y = design_matrix(samples, prep["feature_names"])
+    return evaluate(y, model.predict(apply_prep(X, prep)), quantiles)

@@ -9,13 +9,16 @@ The base class owns the contract's shared half: input coercion, the
 fitted check and the checkpoint. A fitted model is its checkpoint arrays:
 ``_fit`` fills ``_arrays`` with the arrays named in ``array_names`` and
 ``_predict`` reads them, both on coerced float matrices, so ``state()``
-and ``from_state`` need no per-family translation. ``config()`` returns
-the constructor keywords a checkpoint rebuilds the model from.
+and ``from_state`` need no per-family translation. A family's config is
+its constructor's keywords (``config_keys``), each kept under its own name
+as an attribute, so ``config()`` reads them back for the checkpoint to
+rebuild the model from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import inspect
+from dataclasses import asdict, dataclass, field, is_dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -62,8 +65,16 @@ class QuantileModel:
         self._require_fitted()
         return self._predict(self._check_matrix(X))
 
+    @classmethod
+    def config_keys(cls) -> Tuple[str, ...]:
+        """The constructor's keywords other than the run-set quantiles and seed."""
+        return tuple(k for k in inspect.signature(cls).parameters
+                     if k not in ("quantiles", "seed"))
+
     def config(self) -> dict:
-        raise NotImplementedError
+        """Each config key's attribute; a dataclass value as its fields."""
+        values = {k: getattr(self, k) for k in self.config_keys()}
+        return {k: asdict(v) if is_dataclass(v) else v for k, v in values.items()}
 
     def state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
         """(meta, arrays) snapshot sufficient to reproduce predictions."""

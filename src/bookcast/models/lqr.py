@@ -43,6 +43,3 @@ class LQRModel(QuantileModel):
 
     def _predict(self, X) -> np.ndarray:
         return X @ self._arrays["beta"].T + self._arrays["intercept"]
-
-    def config(self) -> dict:
-        return {"l1_weight": self.l1_weight}

@@ -149,17 +149,18 @@ class QGBTModel(QuantileModel):
         binned[i, j] ranks row i's bin among the bins column j occupies, and
         thresholds[j][k] is the upper edge of the k-th occupied bin, so
         rank <= k exactly when x <= thresholds[j][k]. The top occupied bin
-        has no threshold.
+        has no threshold. ``searchsorted`` on the non-decreasing cuts puts x
+        at the first of a run of equal cuts, which becomes the threshold, so
+        repeated cuts leave bins empty rather than shifting them.
         """
         probe = np.linspace(0.0, 1.0, self.max_bins + 1)[1:-1]
         cuts = np.quantile(X, probe, axis=0)
         thresholds = []
         binned = np.empty(X.shape, dtype=np.int32)
         for j in range(X.shape[1]):
-            edges = np.unique(cuts[:, j])
             occupied, binned[:, j] = np.unique(
-                np.searchsorted(edges, X[:, j], side="left"), return_inverse=True)
-            thresholds.append(edges[occupied[:-1]])
+                np.searchsorted(cuts[:, j], X[:, j], side="left"), return_inverse=True)
+            thresholds.append(cuts[occupied[:-1], j])
         return thresholds, binned
 
     def _grow_tree(self, binned, thresholds, residual, grad, rows, feats,
@@ -251,10 +252,3 @@ class QGBTModel(QuantileModel):
                 pred += self._tree(t).apply(X)
             out[:, qi] = pred
         return out
-
-    def config(self) -> dict:
-        return {"n_estimators": self.n_estimators, "max_depth": self.max_depth,
-                "learning_rate": self.learning_rate, "subsample": self.subsample,
-                "colsample_by_tree": self.colsample_by_tree,
-                "reg_alpha": self.reg_alpha, "reg_lambda": self.reg_lambda,
-                "max_bins": self.max_bins}

@@ -88,7 +88,3 @@ class QKNNModel(QuantileModel):
                 idx = np.minimum(np.sum(cum < tau, axis=1), k - 1)
                 out[lo: lo + chunk, j] = neigh_y[np.arange(idx.size), idx]
         return out
-
-    def config(self) -> dict:
-        return {"n_neighbors": self.n_neighbors, "metric": self.metric,
-                "weights": self.weights}

@@ -257,10 +257,3 @@ class QMLPModel(QuantileModel):
 
     def _predict(self, X) -> np.ndarray:
         return self._forward(X)[0]
-
-    def config(self) -> dict:
-        return {"hidden_size": self.hidden_size, "n_layers": self.n_layers,
-                "dropout_rate": self.dropout_rate,
-                "learning_rate": self.learning_rate,
-                "batch_size": self.batch_size, "max_epochs": self.max_epochs,
-                "patience": self.patience, "lr_decay": self.lr_decay}

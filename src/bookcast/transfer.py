@@ -12,6 +12,12 @@ a target domain A:
 The loss ratio divides a strategy's test AQL by the A->A baseline (means
 over repeated seeds); the trade-count ratio divides the source's average
 matched-trade count by the target's.
+
+A model depends only on its sources, never on the target: the (B, seed) fit
+behind A's B->A is also B's baseline in the reverse pair. So each fit is
+scored on the test splits of both domains of its pair, and the reports are
+kept on its first source (``Domain.reports``) for later strategies with the
+same sources and settings.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .experiment import design_matrix, run_experiment
+from .experiment import design_matrix, run_experiment, score
 from .features import FEATURE_NAMES
 from .market import DatasetSplit, supervised
 from .metrics import MetricReport, summarize_runs
@@ -33,12 +39,17 @@ STRATEGIES = ("A->A", "B->A", "A+B->A")
 FEATURE_MODES = ("union", "top5")
 
 
-@dataclass
+@dataclass(eq=False)
 class Domain:
+    """A named dataset split; a domain is equal only to itself, so the
+    reports it caches are keyed by the domain objects they came from."""
     name: str
     split: DatasetSplit
     avg_matched_trades: float
     selection: Optional[SelectionResult] = None
+    # (target, (other sources, fit settings)) -> test report, see run_strategy
+    reports: Dict[tuple, MetricReport] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
 
 def domain_from_split(name: str, split: DatasetSplit) -> Domain:
@@ -62,8 +73,13 @@ def trade_count_ratio(target: Domain, source: Domain) -> float:
 def ensure_selection(domain: Domain, quantiles,
                      alpha_grid: Optional[Sequence[float]] = None,
                      solver_cfg: Optional[SolverConfig] = None) -> SelectionResult:
-    """Fit the domain's sparse feature selection once (train/val only)."""
+    """Fit the domain's sparse feature selection once (train/val only); a
+    selection already made for other quantiles raises ValueError."""
     if domain.selection is not None:
+        wanted = tuple(sorted({float(t) for t in quantiles}))
+        if wanted != tuple(domain.selection.quantiles):
+            raise ValueError(f"domain {domain.name} was selected for quantiles "
+                             f"{list(domain.selection.quantiles)}, not {list(wanted)}")
         return domain.selection
     X_tr, y_tr = design_matrix(domain.split.train)
     X_val, y_val = design_matrix(domain.split.val)
@@ -123,7 +139,8 @@ def run_strategy(strategy: str, A: Domain, B: Domain, family: str,
 
     The strategy names its source domains: {A}, {B} or {A, B}. The features
     are the union of the sources' feature sets, and the model trains and
-    tunes on the sources' stacked train and validation rows.
+    tunes on the sources' stacked train and validation rows. A fit is made
+    once per sources and settings (see the module docstring).
 
     ``baseline_aql`` supplies AQL(A->A) for the loss ratio; when omitted for
     a non-baseline strategy, the ratio is left unset. The A->A strategy has
@@ -143,16 +160,25 @@ def run_strategy(strategy: str, A: Domain, B: Domain, family: str,
         return (np.vstack([X for X, _ in parts]),
                 np.concatenate([y for _, y in parts]))
 
-    result = run_experiment(names, stacked("train"), stacked("val"),
-                            design_matrix(A.split.test, names),
-                            family, budget, seed, quantiles, space, base_config)
+    # the names stand for feature_mode and the sources' selections; repr
+    # keys the space and config, which are unhashable, by value
+    key = (tuple(sources[1:]), tuple(names), seed, family, budget,
+           tuple(quantiles), repr(space), repr(base_config))
+    cache = sources[0].reports
+    if (A, key) not in cache:
+        result = run_experiment(names, stacked("train"), stacked("val"),
+                                family, budget, seed, quantiles, space, base_config)
+        for target in (A, B):
+            cache[target, key] = score(result.model, result.prep,
+                                       target.split.test, quantiles)
+    report = cache[A, key]
     if strategy == "A->A":
         ratio = 1.0
     else:
-        ratio = (result.report.aql / baseline_aql) if baseline_aql else None
+        ratio = (report.aql / baseline_aql) if baseline_aql else None
     return TransferReport(strategy=strategy, target=A.name,
                           source="+".join(dom.name for dom in sources),
-                          seed=seed, metrics=result.report, loss_ratio=ratio,
+                          seed=seed, metrics=report, loss_ratio=ratio,
                           trade_count_ratio=trade_count_ratio(A, B))
 
 
@@ -229,8 +255,10 @@ def asymmetry_sweep(pairs: Sequence[Tuple[Domain, Domain]], family: str,
                     feature_mode: str = "union") -> List[dict]:
     """(C, L) points for each ordered (target, source) pair, for plotting.
 
-    Each pair is one B->A ``run_pair`` with its own A->A baseline, so pairs
-    that share a target each run that baseline.
+    Each pair is one B->A ``run_pair`` with its own A->A baseline. A fit
+    depends only on its sources, so the reverse pair's two strategies reuse
+    the forward pair's fits: two ordered pairs of two domains fit twice per
+    seed, not four times.
     """
     if len(pairs) < 2:
         raise ValueError("asymmetry sweep needs at least two ordered pairs")

@@ -9,8 +9,10 @@ import pytest
 import yaml
 
 from bookcast import market, synth, transfer
-from bookcast.cli import DEFAULT_CONFIG, STAGE_FIELDS, Run, load_config, main
+from bookcast.cli import (DEFAULT_CONFIG, STAGE_FIELDS, Run, _model_config,
+                          load_config, main)
 from bookcast.features import FEATURE_NAMES
+from bookcast.models import FAMILIES, make_model
 from bookcast.util import parse_timestamp
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -232,9 +234,11 @@ def test_cli_entrypoint_subprocess(tmp_path):
 
 def test_cli_import_loads_no_scipy():
     # scipy adds about 43 MB of resident memory to every command; only the
-    # benchmark's and the tests' oracles may import it
+    # benchmark's and the tests' oracles may import it. yaml and the process
+    # pool load only for a YAML config or jobs > 1, off every other start-up
     code = ("import sys, bookcast.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'yaml')"
+            " or m == 'concurrent.futures.process'))")
     proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -335,6 +339,38 @@ def test_transfer_runs_each_strategy_once(tmp_path, monkeypatch):
     # the configured pair, then the reverse direction's baseline and transfer
     assert calls == [("A->A", "A"), ("B->A", "A"), ("A+B->A", "A"),
                      ("A->A", "B"), ("B->A", "B")]
+
+
+def test_transfer_fits_each_source_set_once_per_seed(tmp_path, monkeypatch):
+    # A->A, B->A and A+B->A fit the sources {A}, {B} and {A, B}; the reverse
+    # direction's baseline (sources {B}) and transfer (sources {A}) reuse them
+    calls = []
+    run_experiment = transfer.run_experiment
+
+    def counting(*args, **kwargs):
+        calls.append(args[5])  # the seed
+        return run_experiment(*args, **kwargs)
+
+    monkeypatch.setattr(transfer, "run_experiment", counting)
+    cfg = write_cfg(
+        tmp_path,
+        transfer={"model_family": "qknn", "budget": 2, "seeds": [0, 1],
+                  "domain_a": {"name": "A", "synth": {"liquidity": 10.0}},
+                  "domain_b": {"name": "B", "synth": {"liquidity": 25.0}}},
+        selector={"alpha_grid_size": 4, "max_iter": 200, "stages": 2},
+    )
+    assert run_cli("transfer", "--config", str(cfg)) == 0
+    assert sorted(calls) == [0, 0, 0, 1, 1, 1]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_model_config_keys_are_the_config_keys(family):
+    keys = FAMILIES[family].config_keys()
+    parse = _model_config(family)
+    assert parse(dict.fromkeys(keys)) == dict.fromkeys(keys)
+    with pytest.raises(ValueError, match=re.escape(f"known: {sorted(keys)}")):
+        parse({"bogus": 1})
+    assert tuple(make_model(family, (0.1, 0.5, 0.9)).config()) == keys
 
 
 def test_unknown_transfer_strategy_exits_2(tmp_path, capsys):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from bookcast.experiment import run_experiment
+from bookcast.experiment import run_experiment, score
+from bookcast.features import FEATURE_NAMES
+from bookcast.market import Sample
+from bookcast.metrics import evaluate
 from bookcast.models import make_model
 from bookcast.models.io import FAMILIES
 from bookcast.search import ParamSpec, SearchSpace
@@ -45,8 +48,8 @@ def _splits(seed=3, d=5):
 
 
 def _run(family, budget=3, seed=7):
-    train, val, test = _splits()
-    return run_experiment([f"f{i}" for i in range(5)], train, val, test,
+    train, val, _ = _splits()
+    return run_experiment([f"f{i}" for i in range(5)], train, val,
                           family, budget, seed, Q3, space=SPACES[family],
                           base_config=BASE[family])
 
@@ -85,3 +88,26 @@ def test_returned_model_equals_a_refit_of_the_best_trial(family):
     for name, arr in arrays.items():
         assert arr.dtype == arrays_refit[name].dtype, name
         assert arr.tobytes() == arrays_refit[name].tobytes(), name
+
+
+def _samples(X, y):
+    """Supervised samples whose first columns of the feature universe are X."""
+    rows = []
+    for i, (x, target) in enumerate(zip(X, y)):
+        features = np.zeros(len(FEATURE_NAMES))
+        features[:x.size] = x
+        rows.append(Sample(delivery_time=None, forecast_time=None,
+                           features=features, target_id3=float(target),
+                           matched_trade_count=1))
+    return rows
+
+
+def test_score_standardizes_with_the_training_statistics():
+    names = list(FEATURE_NAMES[:5])
+    (X_tr, y_tr), val, (X_te, y_te) = _splits()
+    result = run_experiment(names, (X_tr, y_tr), val, "qknn", 2, 7, Q3,
+                            space=SPACES["qknn"])
+    got = score(result.model, result.prep, _samples(X_te, y_te), Q3)
+    X_te_s = (X_te - X_tr.mean(axis=0)) / X_tr.std(axis=0)
+    assert got == evaluate(y_te, result.model.predict(X_te_s), Q3)
+    assert got.n_samples == len(y_te)

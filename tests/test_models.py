@@ -335,16 +335,22 @@ def test_qgbt_splits_match_plain_loop_oracle(cfg):
             pred += tree.apply(X)
 
 
-def _qgbt_fuzz_data(case, n):
+def _qgbt_fuzz_data(case, n, integers=False):
     """n rows of six columns: three continuous, one constant, one rounded
     to a few values and one duplicating column 0; plus 20 new rows, some
-    outside the training range."""
+    outside the training range. ``integers`` floors the continuous columns
+    too, so most of each column's quantile cuts repeat, and turns -0.0 into
+    0.0 (see the signed-zero test)."""
     rng = np.random.default_rng(300 + case)
     X = rng.normal(size=(n, 6))
     X[:, 1] *= rng.exponential(size=n)        # heavy tails
+    if integers:
+        X[:, :3] = np.floor(X[:, :3])
     X[:, 3] = -1.25                            # constant
     X[:, 4] = np.round(2.0 * X[:, 4]) / 2.0    # few distinct values
     X[:, 5] = X[:, 0]                          # duplicated column
+    if integers:
+        X += 0.0
     y = 3.0 * X[:, 0] + np.sin(2.0 * X[:, 1]) + X[:, 4] + rng.normal(size=n)
     X_new = np.vstack([X[:10], 3.0 * rng.normal(size=(20, 6))])
     return X, y, X_new
@@ -364,12 +370,17 @@ def _qgbt_fuzz_data(case, n):
     (7, 12, {"n_estimators": 3, "max_depth": 5, "max_bins": 4, "subsample": 0.8}),
     (8, 700, {"n_estimators": 2, "max_depth": 5, "subsample": 0.9,
               "colsample_by_tree": 0.8}),
+    (9, 400, {"n_estimators": 3, "max_depth": 4, "integers": True}),
+    (10, 150, {"n_estimators": 3, "max_depth": 3, "max_bins": 40000,
+               "subsample": 0.8, "integers": True}),
 ])
 def test_qgbt_fit_matches_reference_bit_for_bit(case, n, cfg, monkeypatch):
     """Histograms over occupied bins and flat scatter-adds grow the same
     trees, bit for bit, as full-width histograms with 2-D scatter-adds; and
     a histogram is no wider than a feature can occupy, so 40 rows binned
-    with max_bins=256 (case 0) search at most 40 bins per feature."""
+    with max_bins=256 (case 0) search at most 40 bins per feature. Cases 9
+    and 10 bin integer columns, whose quantile cuts come in long runs of
+    equal values."""
     widths = []
 
     class Recording(qgbt._SplitSearch):
@@ -378,7 +389,8 @@ def test_qgbt_fit_matches_reference_bit_for_bit(case, n, cfg, monkeypatch):
             super().__init__(n_rows, n_feats, width)
 
     monkeypatch.setattr(qgbt, "_SplitSearch", Recording)
-    X, y, X_new = _qgbt_fuzz_data(case, n)
+    cfg = dict(cfg)
+    X, y, X_new = _qgbt_fuzz_data(case, n, cfg.pop("integers", False))
     model = QGBTModel(Q3, seed=case, **cfg)
     report = model.fit(X, y)
     assert widths and max(widths) <= min(n, model.max_bins)
@@ -390,6 +402,32 @@ def test_qgbt_fit_matches_reference_bit_for_bit(case, n, cfg, monkeypatch):
         assert got[name].tobytes() == want.tobytes(), name
     assert report.loss_trace == loss_trace
     assert model.predict(X_new).tobytes() == predictions.tobytes()
+
+
+def test_qgbt_signed_zero_threshold_is_the_first_cut_of_its_run():
+    """A column holding both -0.0 and 0.0 has quantile cuts of both signs in
+    one run of equal values. The grower takes the run's first cut as the
+    threshold, where the full-width reference took whichever zero np.unique's
+    sort put first; x <= -0.0 exactly when x <= 0.0, so only the sign of such
+    a threshold may differ, and trees and forecasts are the same."""
+    X, y, X_new = _qgbt_fuzz_data(9, 400)
+    X[:, :3] = np.round(X[:, :3])             # -0.0 from small negatives
+    cfg = {"n_estimators": 3, "max_depth": 4}
+    model = QGBTModel(Q3, seed=9, **cfg)
+    report = model.fit(X, y)
+    arrays, loss_trace, predictions = reference_qgbt_fit(Q3, 9, X, y, X_new, **cfg)
+    got = model.state()[1]
+    for name, want in arrays.items():
+        if name != "threshold":
+            assert got[name].tobytes() == want.tobytes(), name
+    assert np.array_equal(got["threshold"], arrays["threshold"], equal_nan=True)
+    assert report.loss_trace == loss_trace
+    assert model.predict(X_new).tobytes() == predictions.tobytes()
+    cuts = np.quantile(X, np.linspace(0.0, 1.0, 257)[1:-1], axis=0)
+    split = got["feature"] >= 0
+    for f, t in zip(got["feature"][split], got["threshold"][split]):
+        first = cuts[np.searchsorted(cuts[:, f], t, side="left"), f]
+        assert np.signbit(t) == np.signbit(first)
 
 
 # ---------------------------------------------------------------- QMLP
@@ -570,6 +608,17 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, family, cfg):
     assert loaded_prep["feature_names"] == ["a", "b", "c"]
     got = loaded.predict(queries)
     assert np.array_equal(got, expected)
+
+
+def test_lqr_checkpoint_keeps_its_solver(tmp_path):
+    rng = np.random.default_rng(23)
+    X, y = rng.normal(size=(30, 3)), rng.normal(size=30)
+    model = LQRModel(Q3, l1_weight=0.01, solver=SolverConfig(max_iter=123))
+    model.fit(X, y)
+    save_checkpoint(tmp_path / "lqr.npz", model)
+    loaded, _ = load_checkpoint(tmp_path / "lqr.npz")
+    assert loaded.solver == SolverConfig(max_iter=123)
+    assert loaded.config() == model.config()
 
 
 def test_checkpoint_rejects_foreign_file(tmp_path):

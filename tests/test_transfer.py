@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import re
 
 import pytest
 
+from bookcast import transfer
 from bookcast.features import FEATURE_NAMES
 from bookcast.selection import SelectionResult
 from bookcast.transfer import (FEATURE_MODES, Domain, asymmetry_sweep,
@@ -117,6 +119,32 @@ def test_sweep_point_reproduces_asymmetry_sweep(dom_a, dom_b):
     backward = run_pair(dom_b, dom_a, "qknn", 2, [0, 1], Q3,
                         strategies=("B->A",), **kw)
     assert [sweep_point(forward), sweep_point(backward)] == points
+
+
+def test_two_pair_sweep_fits_each_source_once_per_seed(monkeypatch):
+    # (A, B) fits sources {A} and {B}; (B, A) reuses both fits
+    A = tiny_domain("A", seed=1, liquidity=15.0)
+    B = tiny_domain("B", seed=2, liquidity=30.0)
+    calls = []
+    run_experiment = transfer.run_experiment
+
+    def counting(*args, **kwargs):
+        calls.append(args[5])  # the seed
+        return run_experiment(*args, **kwargs)
+
+    monkeypatch.setattr(transfer, "run_experiment", counting)
+    asymmetry_sweep([(A, B), (B, A)], "qknn", 2, [0, 1], Q3,
+                    alpha_grid=SMALL_GRID, solver_cfg=FAST_SOLVER)
+    assert sorted(calls) == [0, 0, 1, 1]
+    # a copy starts with no reports of its own
+    assert A.reports and not dataclasses.replace(A).reports
+
+
+def test_ensure_selection_refuses_other_quantiles(dom_a):
+    sel = ensure_selection(dom_a, Q3, SMALL_GRID, FAST_SOLVER)
+    assert ensure_selection(dom_a, (0.9, 0.5, 0.1)) is sel
+    with pytest.raises(ValueError, match=re.escape("[0.1, 0.5, 0.9], not [0.25, 0.5, 0.75]")):
+        ensure_selection(dom_a, (0.25, 0.5, 0.75))
 
 
 def _poison_test_targets(domain: Domain, offset: float) -> Domain:
