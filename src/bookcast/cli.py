@@ -528,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="YAML or JSON config file")
     parser.add_argument("--workspace", help="output root directory")
-    parser.add_argument("--market", help="DE, AT, or a custom market tag")
+    parser.add_argument("--market", help="DE or AT")
     parser.add_argument("--product-type", dest="product_type",
                         choices=["60min", "15min"])
     parser.add_argument("--tz", help="timezone for naive input timestamps")

@@ -162,7 +162,6 @@ class ProductSpec:
     market: str = "DE"
     product_type: str = "60min"
     delta_m: Optional[dt.timedelta] = None
-    lead_time: dt.timedelta = LEAD_TIME
 
     def __post_init__(self):
         if self.product_type not in PRODUCT_DURATIONS:
@@ -174,8 +173,9 @@ class ProductSpec:
             object.__setattr__(self, "delta_m", MARKET_GATE_CLOSURE[self.market])
         if self.delta_m < dt.timedelta(0):
             raise ValueError("delta_m must be non-negative")
-        if not self.lead_time > self.delta_m:
-            raise ValueError("lead_time must exceed delta_m")
+        if not self.delta_m < LEAD_TIME:
+            # features stop where the target window opens, at t_d - LEAD_TIME
+            raise ValueError(f"delta_m must be shorter than LEAD_TIME ({LEAD_TIME})")
 
     @property
     def duration(self) -> dt.timedelta:
@@ -229,16 +229,14 @@ def _parse_field(lineno: int, name: str, parse, raw: str):
 
 
 def parse_trades(source, tz: dt.tzinfo = UTC) -> Tuple[TradeTable, List[RejectedRow]]:
-    """Parse the canonical trade CSV.
+    """Parse the canonical trade CSV from its text or an open text file.
 
     Returns the trades as a table sorted by (exec_time, seq) with seq
     assigned in input order, plus the rejected rows (non-positive volume,
     exec_time at or after delivery). Structurally malformed rows raise
     TradeParseError naming the line and the field.
     """
-    if isinstance(source, bytes):
-        source = io.StringIO(source.decode("utf-8"))
-    elif isinstance(source, str):
+    if isinstance(source, str):
         source = io.StringIO(source)
     reader = csv.reader(source)
     try:
@@ -312,7 +310,7 @@ def build_samples(trades: Sequence[Trade], spec: ProductSpec, start: dt.datetime
                   end: dt.datetime) -> Tuple[List[Sample], BuildReport]:
     """Assemble one sample per delivery product in the horizon.
 
-    Feature extraction uses trades up to t_f = t_d - lead_time; the target
+    Feature extraction uses trades up to t_f = t_d - LEAD_TIME; the target
     comes from the window [t_f, t_d - delta_m]. Products where either side
     has no history at all are dropped (counted in the report); products
     with an empty target window keep features but carry no target.
@@ -331,7 +329,7 @@ def build_samples(trades: Sequence[Trade], spec: ProductSpec, start: dt.datetime
     n_discarded_with_target = 0
     n_missing_target = 0
     for t_d, i, j in zip(deliveries, lo, hi):
-        t_f = t_d - spec.lead_time
+        t_f = t_d - LEAD_TIME
         prod_trades = table.take(order[i:j])
         id3 = compute_id3(prod_trades, t_d, spec.delta_m)
         vec = feat.extract_features(prod_trades, t_f)

@@ -145,11 +145,12 @@ class QMLPModel(QuantileModel):
 
     def _loss_grad_out(self, y: np.ndarray, out: np.ndarray) -> Tuple[float, np.ndarray]:
         taus = np.array(self.quantiles)
-        diff = y[:, None] - out
-        losses = np.where(diff >= 0, taus * diff, (taus - 1.0) * diff)
-        loss = float(losses.mean())
-        scale = 1.0 / losses.size
-        grad = np.where(diff >= 0, -taus, 1.0 - taus) * scale
+        # a diverged network overflows here; _fit raises on the non-finite loss
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = y[:, None] - out
+            losses = np.where(diff >= 0, taus * diff, (taus - 1.0) * diff)
+            loss = float(losses.mean())
+            grad = np.where(diff >= 0, -taus, 1.0 - taus) * (1.0 / losses.size)
         return loss, grad
 
     def _backward(self, acts, masks, g: np.ndarray, grads) -> Iterator[int]:

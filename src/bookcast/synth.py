@@ -2,9 +2,10 @@
 
 Per product, a latent mid-price follows a Gaussian random walk; trade
 arrivals come from an inhomogeneous Poisson process whose intensity grows
-toward delivery as (time-to-delivery)^(-arrival_ramp); buy trades print
-above the latent price and sells below by a uniform half-spread; volumes
-are lognormal. Each product draws from its own generator derived from
+toward delivery as (time-to-delivery)^(-ARRIVAL_RAMP); each trade is a buy
+or a sell with equal probability, buys print above the latent price and
+sells below by a uniform half-spread; volumes are lognormal(VOLUME_LOG_MEAN,
+VOLUME_LOG_SD). Each product draws from its own generator derived from
 (seed, product index), so generation is order-independent and bit
 reproducible. The latent path never leaves the generator.
 """
@@ -23,6 +24,10 @@ from .transfer import Domain, domain_from_split
 from .util import rng_for, to_micros
 
 HOUR_US = 3_600_000_000
+ARRIVAL_RAMP = 0.5     # intensity ~ (time to delivery)^(-ARRIVAL_RAMP)
+SIDE_BALANCE = 0.5     # probability a trade is buy-side
+VOLUME_LOG_MEAN = 0.0
+VOLUME_LOG_SD = 0.5
 
 
 @dataclass(frozen=True)
@@ -32,19 +37,13 @@ class SynthConfig:
     volatility: float = 5.0        # price std per sqrt(hour) of the latent walk
     base_price: float = 60.0
     session_hours: float = 12.0    # trading opens this long before delivery
-    volume_log_mean: float = 0.0
-    volume_log_sd: float = 0.5
-    side_balance: float = 0.5      # probability a trade is buy-side
-    arrival_ramp: float = 0.5      # intensity ~ (time to delivery)^(-ramp)
     half_spread: float = 0.5
 
     def __post_init__(self):
         if self.liquidity <= 0:
             raise ValueError("liquidity must be positive")
-        if self.volatility < 0 or self.half_spread < 0 or self.arrival_ramp < 0:
-            raise ValueError("volatility, half_spread, arrival_ramp must be >= 0")
-        if not 0.0 < self.side_balance < 1.0:
-            raise ValueError("side_balance must be in (0, 1)")
+        if self.volatility < 0 or self.half_spread < 0:
+            raise ValueError("volatility and half_spread must be >= 0")
         if self.session_hours <= 0:
             raise ValueError("session_hours must be positive")
 
@@ -52,22 +51,14 @@ class SynthConfig:
 @dataclass
 class SynthDataset:
     trades: TradeTable
-    config: SynthConfig
-    spec: ProductSpec
-    horizon: Tuple[dt.datetime, dt.datetime]
 
 
-def _arrival_offsets(rng: np.random.Generator, n: int, a: float, b: float,
-                     ramp: float) -> np.ndarray:
-    """Times-to-delivery (hours) in [a, b] with density ~ u^(-ramp)."""
-    u = rng.random(n)
-    if ramp >= 1.0:
-        a = max(a, 1e-3)  # keep the intensity integrable at the gate
-    if abs(ramp - 1.0) < 1e-12:
-        return np.exp(np.log(a) + u * (np.log(b) - np.log(a)))
-    p = 1.0 - ramp
+def _arrival_offsets(rng: np.random.Generator, n: int, a: float, b: float) -> np.ndarray:
+    """Times-to-delivery (hours) in [a, b] with density ~ u^(-ARRIVAL_RAMP),
+    by inverting the distribution function."""
+    p = 1.0 - ARRIVAL_RAMP
     lo, hi = a ** p, b ** p
-    return (lo + u * (hi - lo)) ** (1.0 / p)
+    return (lo + rng.random(n) * (hi - lo)) ** (1.0 / p)
 
 
 def gate_hours(cfg: SynthConfig, spec: ProductSpec) -> float:
@@ -97,8 +88,7 @@ def generate(cfg: SynthConfig, spec: ProductSpec, start: dt.datetime,
         n = int(rng.poisson(cfg.liquidity * duration_h))
         if n == 0:
             continue
-        offsets_h = np.sort(_arrival_offsets(rng, n, gate_h, cfg.session_hours,
-                                             cfg.arrival_ramp))[::-1]
+        offsets_h = np.sort(_arrival_offsets(rng, n, gate_h, cfg.session_hours))[::-1]
         exec_us = t_d_us - np.round(offsets_h * HOUR_US).astype(np.int64)
         session_start_us = t_d_us - int(cfg.session_hours * HOUR_US)
         session_end_us = t_d_us - int(gate_h * HOUR_US)
@@ -108,10 +98,10 @@ def generate(cfg: SynthConfig, spec: ProductSpec, start: dt.datetime,
         gaps_h = np.diff(exec_us, prepend=session_start_us) / HOUR_US
         latent = cfg.base_price + np.cumsum(
             rng.standard_normal(n) * cfg.volatility * np.sqrt(gaps_h))
-        is_buy = rng.random(n) < cfg.side_balance
+        is_buy = rng.random(n) < SIDE_BALANCE
         spread = rng.uniform(0.0, cfg.half_spread, n) if cfg.half_spread > 0 else np.zeros(n)
         prices = latent + np.where(is_buy, spread, -spread)
-        volumes = rng.lognormal(cfg.volume_log_mean, cfg.volume_log_sd, n)
+        volumes = rng.lognormal(VOLUME_LOG_MEAN, VOLUME_LOG_SD, n)
 
         for chunk, col in zip(chunks, (np.full(n, t_d_us), np.arange(n), exec_us,
                                        is_buy, prices, volumes)):
@@ -124,7 +114,7 @@ def generate(cfg: SynthConfig, spec: ProductSpec, start: dt.datetime,
     order = np.lexsort((within, product_us, exec_us))
     trades = TradeTable(product_us[order], exec_us[order], is_buy[order], prices[order],
                         volumes[order], np.arange(exec_us.size, dtype=np.int64))
-    return SynthDataset(trades=trades, config=cfg, spec=spec, horizon=(start, end))
+    return SynthDataset(trades=trades)
 
 
 def build_domain(name: str, cfg: SynthConfig, spec: ProductSpec,
@@ -145,8 +135,7 @@ def make_domain_pair(cfg_a: SynthConfig, cfg_b: SynthConfig, spec: ProductSpec,
 
     Their test-split trade-count ratio approximates the liquidity ratio.
     """
-    for field_name in ("volatility", "base_price", "session_hours", "arrival_ramp",
-                       "half_spread", "volume_log_mean", "volume_log_sd"):
+    for field_name in ("volatility", "base_price", "session_hours", "half_spread"):
         if getattr(cfg_a, field_name) != getattr(cfg_b, field_name):
             raise ValueError(f"domain pair must share price-process parameter {field_name}")
     dom_a, _ = build_domain(names[0], cfg_a, spec, start, end, boundaries)

@@ -8,11 +8,12 @@ from pathlib import Path
 import pytest
 import yaml
 
-from bookcast import market, synth, transfer
+from bookcast import cli, market, synth, transfer
 from bookcast.cli import (DEFAULT_CONFIG, STAGE_FIELDS, Run, _model_config,
                           load_config, main)
 from bookcast.features import FEATURE_NAMES
-from bookcast.models import FAMILIES, make_model
+from bookcast.models import FAMILIES, load_checkpoint, make_model
+from bookcast.selection import SelectionResult, top_k_union
 from bookcast.util import parse_timestamp
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -265,6 +266,54 @@ def test_removed_zero_threshold_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, selector={"zero_threshold": 1e-6})
     assert run_cli("select", "--config", str(cfg)) == 2
     assert "selector.zero_threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", ["synth", "transfer.domain_b.synth"])
+@pytest.mark.parametrize("key", ["side_balance", "arrival_ramp", "volume_log_mean",
+                                 "volume_log_sd"])
+def test_removed_synth_settings_exit_2(tmp_path, capsys, section, key):
+    # the generator fixes these; a config that sets one is an error
+    extra = ({"synth": {key: 0.5}} if section == "synth"
+             else {"transfer": {"domain_b": {"synth": {key: 0.5}}}})
+    assert run_cli("synth", "--config", str(write_cfg(tmp_path, **extra))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"'{section}" in err and key in err, err
+
+
+def test_empty_selection_exits_1_without_writing(tmp_path, monkeypatch, capsys):
+    def empty(domain, quantiles, *args, **kwargs):
+        return SelectionResult(quantiles=tuple(quantiles), feature_names=FEATURE_NAMES,
+                               per_tau_selected={t: [] for t in quantiles},
+                               per_tau_coef={t: {} for t in quantiles},
+                               alpha_per_tau={t: 1.0 for t in quantiles})
+    monkeypatch.setattr(cli, "ensure_selection", empty)
+    assert run_cli("select", "--config", str(write_cfg(tmp_path))) == 1
+    assert "selection is empty" in capsys.readouterr().err
+    assert not list((tmp_path / "ws").rglob("selection.json"))
+
+
+def test_extract_short_trade_row_exits_1_naming_the_line(tmp_path, capsys):
+    trades = tmp_path / "trades.csv"
+    trades.write_text("product_start,side,exec_time,price,volume\n"
+                      "2024-03-02T12:00:00Z,+,2024-03-02T08:00:00Z,50.0,5.0\n"
+                      "2024-03-02T12:00:00Z,+,2024-03-02T08:00:00Z,50.0\n")
+    cfg = write_cfg(tmp_path, trades_csv=str(trades))
+    assert run_cli("extract", "--config", str(cfg)) == 1
+    err = capsys.readouterr().err
+    assert err == "error: TradeParseError: line 3: expected 5 fields, got 4\n"
+    assert not (tmp_path / "ws" / "features").exists()
+
+
+def test_train_top5_checkpoints_the_top_k_union(tmp_path):
+    cfg = write_cfg(tmp_path, seeds=[0], selector={"top_k": 2},
+                    model={"feature_set": "top5"})
+    assert run_cli("train", "--config", str(cfg)) == 0
+    ws = tmp_path / "ws"
+    payload = json.loads((_hash_dir(ws, "selection") / "selection.json").read_text())
+    sel = SelectionResult.from_dict(payload, FEATURE_NAMES)
+    _model, prep = load_checkpoint(_hash_dir(ws, "models") / "qknn_seed0.npz")
+    assert list(prep["feature_names"]) == top_k_union(sel, 2)
+    assert top_k_union(sel, 2) != top_k_union(sel, 5)
 
 
 def _counting(calls, name, fn):

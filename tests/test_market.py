@@ -4,13 +4,13 @@ import io
 import numpy as np
 import pytest
 
-from bookcast.features import extract_features
+from bookcast.features import FEATURE_NAMES, WINDOW_LABELS, extract_features
 from bookcast.market import (ProductSpec, SplitBoundaries, Trade, TradeParseError,
                              TradeTable, build_samples, enumerate_products,
                              parse_trades, split_dataset, supervised,
                              write_trades_csv)
 from bookcast.synth import SynthConfig, generate
-from bookcast.target import compute_id3
+from bookcast.target import LEAD_TIME, compute_id3
 from bookcast.util import UTC
 from conftest import mk_trade, mk_window_trade
 
@@ -90,6 +90,12 @@ def test_parse_bad_header_raises():
         parse_trades("a,b,c\n1,2,3\n")
 
 
+def test_parse_empty_input_raises_at_line_1():
+    with pytest.raises(TradeParseError) as err:
+        parse_trades("")
+    assert err.value.line == 1 and err.value.field is None
+
+
 def test_parse_naive_timestamps_use_tz():
     import zoneinfo
     csv = HEADER + "2024-06-01T12:00:00,+,2024-06-01T08:00:00,50.0,5.0\n"
@@ -167,6 +173,14 @@ def test_product_spec_gate_closures():
         ProductSpec(market="XX")
 
 
+def test_gate_closure_must_precede_the_feature_cutoff():
+    # features stop at t_d - LEAD_TIME, where the target window opens
+    one_us = dt.timedelta(microseconds=1)
+    assert ProductSpec(market="custom", delta_m=LEAD_TIME - one_us).delta_m < LEAD_TIME
+    with pytest.raises(ValueError, match="delta_m"):
+        ProductSpec(market="custom", delta_m=LEAD_TIME)
+
+
 def _product_trades(t_d, spread_sides=True):
     trades = [
         mk_trade(10, 50, 1, side="+", seq=0, t_d=t_d),
@@ -232,7 +246,7 @@ def test_build_samples_matches_per_product_extract():
     n_dropped = 0
     for t_d in enumerate_products(spec, start, end):
         product = [t for t in rows if t.product_start == t_d]
-        vec = extract_features(product, t_d - spec.lead_time)
+        vec = extract_features(product, t_d - LEAD_TIME)
         if vec is None:
             n_dropped += 1
             assert t_d not in built
@@ -243,6 +257,39 @@ def test_build_samples_matches_per_product_extract():
         assert built[t_d].matched_trade_count == id3.trades_used
     assert n_dropped == report.n_discarded_features > 0
     assert len(built) == report.n_built > 0
+
+
+@pytest.mark.parametrize("market, product_type, liquidity", [
+    ("AT", "15min", 2.0),
+    ("DE", "60min", 40.0),
+])
+def test_built_samples_carry_the_structural_duplicate_columns(market, product_type,
+                                                               liquidity):
+    # the last trade lies in every non-empty window and an empty window
+    # borrows a longer one's row, so last_* repeats across windows; delta_*
+    # is last_* - first_* by construction
+    spec = ProductSpec(market=market, product_type=product_type)
+    start = dt.datetime(2024, 6, 1, tzinfo=UTC)
+    end = start + dt.timedelta(days=2)
+    trades = generate(SynthConfig(seed=6, liquidity=liquidity), spec, start, end).trades
+    samples, _ = build_samples(trades, spec, start, end)
+    assert len(samples) > 20
+    X = np.vstack([s.features for s in samples])
+    col = {name: X[:, i] for i, name in enumerate(FEATURE_NAMES)}
+    n_dup = n_delta = 0
+    for quantity in ("price", "volume"):
+        for side in ("buy", "sell"):
+            for w in WINDOW_LABELS:
+                key = f"{side}|{w}"
+                if w != "inf":
+                    assert np.array_equal(col[f"last_{quantity}|{key}"],
+                                          col[f"last_{quantity}|{side}|inf"]), key
+                    n_dup += 1
+                assert np.array_equal(
+                    col[f"delta_{quantity}|{key}"],
+                    col[f"last_{quantity}|{key}"] - col[f"first_{quantity}|{key}"]), key
+                n_delta += 1
+    assert (n_dup, n_delta) == (20, 24)
 
 
 def test_split_boundaries_and_partition(t_d):

@@ -146,10 +146,6 @@ def test_make_domain_pair_rejects_mismatched_price_process():
 def test_config_validation():
     with pytest.raises(ValueError):
         SynthConfig(liquidity=0.0)
-    with pytest.raises(ValueError):
-        SynthConfig(side_balance=1.0)
-    with pytest.raises(ValueError):
-        SynthConfig(arrival_ramp=-1.0)
 
 
 def test_build_domain_reports_counts():
