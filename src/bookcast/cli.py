@@ -39,8 +39,9 @@ from .market import ProductSpec, SplitBoundaries, split_dataset
 from .metrics import MetricReport, evaluate, summarize_runs, summary_cells
 from .models import FAMILIES, load_checkpoint, save_checkpoint
 from .search import write_trials_jsonl
-from .selection import (SOLVER_FIELDS, SelectionResult, SolverConfig, default_alpha_grid,
+from .selection import (SOLVER_FIELDS, SelectionResult, SolverConfig,
                         importance_breakdown, solver_config, top_k, top_k_union)
+from .target import LEAD_TIME
 from .transfer import (FEATURE_MODES, STRATEGIES, check_strategies,
                        domain_from_split, ensure_selection, run_pair, sweep_point)
 from .util import UTC, config_hash, file_sha256, parse_timestamp
@@ -209,6 +210,14 @@ def _levels(value) -> Tuple[float, ...]:
                  q, "at least two levels, strictly ascending in (0, 1), including 0.5")
 
 
+def _opens_before_features(cfg: synth.SynthConfig):
+    """A synthetic session must open before the feature cutoff, LEAD_TIME
+    before delivery, or it yields no samples."""
+    lead_h = LEAD_TIME.total_seconds() / 3600.0
+    return _must(cfg.session_hours > lead_h, cfg.session_hours,
+                 f"above the {lead_h:g} h lead time of the feature cutoff")
+
+
 _TIMESTAMPS = ("horizon_start", "horizon_end", "train_end", "val_end", "test_end")
 
 
@@ -240,10 +249,12 @@ class Run:
         self.synth_cfg = _read("synth", lambda raw: synth.SynthConfig(seed=seed, **raw),
                                cfg["synth"])
         _read("synth.session_hours", synth.gate_hours, self.synth_cfg, self.spec)
+        if self.trades_csv is None:
+            _read("synth.session_hours", _opens_before_features, self.synth_cfg)
         self.solver_cfg = SolverConfig(**{f: _read(f"selector.{f}", cast, sel[f])
                                           for f, cast in SOLVER_FIELDS.items()})
-        self.alpha_grid = default_alpha_grid(
-            _read("selector.alpha_grid_size", _count, sel["alpha_grid_size"]))
+        # a count: tune_alpha anchors that many points at each tau's alpha_max
+        self.alpha_grid = _read("selector.alpha_grid_size", _count, sel["alpha_grid_size"])
         self.top_k = _read("selector.top_k", _count, sel["top_k"])
         self.family = _read("model.family", _one_of(FAMILIES), model["family"])
         self.search_budget = _read("model.search_budget", _count, model["search_budget"])
@@ -269,8 +280,11 @@ class Run:
 
         def domain_synth(overrides):
             section = {**cfg["synth"], **(overrides or {})}
-            # rejects a bad value, or a session closed before it opens
-            synth.gate_hours(synth.SynthConfig(seed=seed, **section), self.spec)
+            # rejects a bad value, or a session that closes before it opens
+            # or opens after the feature cutoff
+            dom_cfg = synth.SynthConfig(seed=seed, **section)
+            synth.gate_hours(dom_cfg, self.spec)
+            _opens_before_features(dom_cfg)
             return section
         # (name, merged synth section) per transfer domain
         self.domains = [(str(tcfg[d]["name"]),
@@ -404,6 +418,11 @@ def _domain(run: Run, name: str, synth_section: dict):
 def cmd_select(run: Run) -> Path:
     domain = domain_from_split("main", _split(run))
     sel = ensure_selection(domain, run.quantiles, run.alpha_grid, run.solver_cfg)
+    uncertified = [f"{t} (gap {r['gap']:.2g})" for t, r in sel.solver.items()
+                   if not r["converged"]]
+    if uncertified:
+        print("L1-QR fit not certified optimal at tau " + ", ".join(uncertified),
+              file=sys.stderr)
     if not sel.union:
         print("selection is empty: every coefficient fell below the zero "
               "threshold at the tuned penalty", file=sys.stderr)

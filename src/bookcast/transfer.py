@@ -32,7 +32,7 @@ from .features import FEATURE_NAMES
 from .market import DatasetSplit, supervised
 from .metrics import MetricReport, summarize_runs
 from .search import Config, SearchSpace
-from .selection import (SelectionResult, SolverConfig, select_features,
+from .selection import (AlphaGrid, SelectionResult, SolverConfig, select_features,
                         standardize, top_k_union, tune_alpha)
 
 STRATEGIES = ("A->A", "B->A", "A+B->A")
@@ -71,7 +71,7 @@ def trade_count_ratio(target: Domain, source: Domain) -> float:
 
 
 def ensure_selection(domain: Domain, quantiles,
-                     alpha_grid: Optional[Sequence[float]] = None,
+                     alpha_grid: AlphaGrid = None,
                      solver_cfg: Optional[SolverConfig] = None) -> SelectionResult:
     """Fit the domain's sparse feature selection once (train/val only); a
     selection already made for other quantiles raises ValueError."""
@@ -131,7 +131,7 @@ def run_strategy(strategy: str, A: Domain, B: Domain, family: str,
                  budget: int, seed: int, quantiles,
                  space: Optional[SearchSpace] = None,
                  base_config: Optional[Config] = None,
-                 alpha_grid: Optional[Sequence[float]] = None,
+                 alpha_grid: AlphaGrid = None,
                  solver_cfg: Optional[SolverConfig] = None,
                  baseline_aql: Optional[float] = None,
                  feature_mode: str = "union") -> TransferReport:
@@ -206,7 +206,7 @@ def run_pair(A: Domain, B: Domain, family: str, budget: int,
              strategies: Sequence[str] = STRATEGIES,
              space: Optional[SearchSpace] = None,
              base_config: Optional[Config] = None,
-             alpha_grid: Optional[Sequence[float]] = None,
+             alpha_grid: AlphaGrid = None,
              solver_cfg: Optional[SolverConfig] = None,
              feature_mode: str = "union") -> PairResult:
     """All strategies over repeated seeds for one (target, source) pair.
@@ -250,7 +250,7 @@ def asymmetry_sweep(pairs: Sequence[Tuple[Domain, Domain]], family: str,
                     budget: int, seeds: Sequence[int], quantiles,
                     space: Optional[SearchSpace] = None,
                     base_config: Optional[Config] = None,
-                    alpha_grid: Optional[Sequence[float]] = None,
+                    alpha_grid: AlphaGrid = None,
                     solver_cfg: Optional[SolverConfig] = None,
                     feature_mode: str = "union") -> List[dict]:
     """(C, L) points for each ordered (target, source) pair, for plotting.

@@ -280,6 +280,50 @@ def test_removed_synth_settings_exit_2(tmp_path, capsys, section, key):
     assert err.startswith("config error:") and f"'{section}" in err and key in err, err
 
 
+@pytest.mark.parametrize("section", ["synth", "transfer.domain_b.synth"])
+def test_session_opening_after_the_feature_cutoff_exits_2(tmp_path, capsys, section):
+    # a 2 h AT session closes its trading before the 3 h feature cutoff
+    short = {"liquidity": 8, "session_hours": 2}
+    extra = ({"synth": short} if section == "synth"
+             else {"transfer": {"domain_b": {"synth": short}}})
+    cfg = write_cfg(tmp_path, market="AT", product_type="15min", **extra)
+    for command in COMMAND_NAMES:
+        assert run_cli(command, "--config", str(cfg)) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"'{section}" in err, err
+    assert not (tmp_path / "ws").exists()
+
+
+def test_short_session_is_accepted_when_trades_come_from_a_file(tmp_path):
+    trades = tmp_path / "trades.csv"
+    trades.write_text("product_start,side,exec_time,price,volume\n")
+    # the transfer domains still synthesize, so they override the session
+    long = {"synth": {"session_hours": 8}}
+    cfg = write_cfg(tmp_path, market="AT", product_type="15min",
+                    synth={"session_hours": 2}, trades_csv=str(trades),
+                    transfer={"domain_a": long, "domain_b": long})
+    assert Run(load_config(str(cfg), {})).trades_csv == str(trades)
+
+
+def test_select_records_each_fit_and_names_uncertified_ones(tmp_path, capsys):
+    assert run_cli("select", "--config", str(write_cfg(tmp_path))) == 0
+    assert "not certified" not in capsys.readouterr().err
+    payload = json.loads((_hash_dir(tmp_path / "ws", "selection")
+                          / "selection.json").read_text())
+    assert set(payload["solver"]) == {"0.1", "0.5", "0.9"}
+    for tau, record in payload["solver"].items():
+        assert record["converged"] and record["gap"] <= 1e-9
+        assert record["alpha"] == payload["alpha_per_tau"][tau] <= record["alpha_max"]
+        assert record["support_size"] == len(payload["selected"][tau])
+    (tmp_path / "capped").mkdir()
+    capped = write_cfg(tmp_path / "capped", selector={"max_iter": 1})
+    run_cli("select", "--config", str(capped))
+    err = capsys.readouterr().err.splitlines()
+    uncertified = [line for line in err if "not certified" in line]
+    assert len(uncertified) == 1, err
+    assert all(f"{tau} (gap" in uncertified[0] for tau in (0.1, 0.5, 0.9)), err
+
+
 def test_empty_selection_exits_1_without_writing(tmp_path, monkeypatch, capsys):
     def empty(domain, quantiles, *args, **kwargs):
         return SelectionResult(quantiles=tuple(quantiles), feature_names=FEATURE_NAMES,

@@ -1,13 +1,16 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bookcast.features import FEATURE_NAMES
 from bookcast.metrics import pinball
-from bookcast.selection import (L1QuantileFit, default_alpha_grid,
-                                fit_l1_lqr, importance_breakdown, objective,
-                                select_features, standardize, top_k, tune_alpha)
+from bookcast.selection import (GAP_TOL, L1QuantileFit, SolverConfig, alpha_max,
+                                default_alpha_grid, fit_l1_lqr, importance_breakdown,
+                                objective, select_features, standardize, top_k,
+                                tune_alpha)
 from bookcast.selection import SelectionResult
 from bookcast.util import pinball_quantile
 from oracles import brute_objective, grid_search_l1_lqr, pinball_optimal_intercept
@@ -107,15 +110,14 @@ def test_objective_beats_independent_reference_points():
     assert final <= ref_ls + 1e-9
 
 
-def test_restart_from_perturbed_start_agrees():
+def test_repeated_fits_are_identical():
     rng = np.random.default_rng(5)
     X, _, _, _, _ = standardize(rng.normal(size=(80, 6)))
     y = X[:, 0] - 2 * X[:, 5] + rng.normal(size=80) * 0.3
-    tau, alpha = 0.5, 1.0
-    fit = fit_l1_lqr(X, y, tau, alpha)
-    start = (fit.beta + rng.normal(size=6) * 0.5, fit.intercept + 1.0)
-    refit = fit_l1_lqr(X, y, tau, alpha, start=start)
-    assert refit.objective_trace[-1] == pytest.approx(fit.objective_trace[-1], rel=5e-4)
+    first, second = (fit_l1_lqr(X, y, 0.5, 1.0) for _ in range(2))
+    assert first.beta.tobytes() == second.beta.tobytes()
+    assert (first.intercept, first.objective_trace, first.n_iter, first.gap) == \
+        (second.intercept, second.objective_trace, second.n_iter, second.gap)
 
 
 def test_solver_rejects_bad_inputs():
@@ -146,6 +148,60 @@ def test_brute_force_grid_equivalence_small_problems():
         slack = (np.sum(np.abs(X)) / n * n + alpha) * 1e-3 * d + 1e-9
         assert fit.objective_trace[-1] <= grid_min + slack
         assert fit.objective_trace[-1] >= grid_min - slack
+
+
+def _highs():
+    """bench/checks.py, whose highs_l1qr solves the L1-QR LP with HiGHS."""
+    pytest.importorskip("scipy")
+    path = Path(__file__).resolve().parent.parent / "bench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("bench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    return checks.highs_l1qr
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(12)
+    wide, _, _, _, _ = standardize(rng.normal(size=(30, 60)))           # n < d
+    tall, _, _, _, _ = standardize(rng.normal(size=(80, 12)))
+    twin = np.column_stack([tall, tall[:, 3]])                          # a duplicate
+    cases = []
+    for X, alphas, tie_free in ((wide, (0.02, 0.1, 0.3), True),
+                                (tall, (0.0, 0.01, 0.1), True),
+                                (twin, (0.05, 0.2), False),
+                                (np.empty((25, 0)), (0.0, 1.0), True)):
+        n, d = X.shape
+        y = X[:, :3] @ np.array([2.0, -1.0, 0.5])[:min(d, 3)] if d else np.zeros(n)
+        y = y + rng.standard_t(3, size=n)
+        for tau in (0.1, 0.5, 0.85):
+            cases += [(X, y, tau, a * n, tie_free) for a in alphas]
+    return cases
+
+
+def test_fit_matches_highs_optimum_and_support():
+    highs_l1qr = _highs()
+    for X, y, tau, alpha, tie_free in _oracle_cases():
+        optimum, beta = highs_l1qr(X, y, tau, alpha)
+        fit = fit_l1_lqr(X, y, tau, alpha)
+        where = (X.shape, tau, alpha)
+        own = objective(X, y, tau, alpha, fit.beta, fit.intercept)
+        assert fit.converged and fit.gap <= GAP_TOL, where
+        assert fit.objective_trace[-1] == own, where
+        assert abs(own - optimum) <= GAP_TOL * max(1.0, abs(optimum)), where
+        if tie_free and alpha > 0:
+            assert np.array_equal(np.flatnonzero(fit.beta),
+                                  np.flatnonzero(np.abs(beta) > 1e-9)), where
+
+
+def test_capped_solve_is_not_converged():
+    rng = np.random.default_rng(13)
+    X, _, _, _, _ = standardize(rng.normal(size=(60, 20)))
+    y = X[:, 0] + rng.normal(size=60)
+    capped = fit_l1_lqr(X, y, 0.3, 0.5, SolverConfig(max_iter=1))
+    assert capped.n_iter == 1 and not capped.converged and capped.gap > GAP_TOL
+    full = fit_l1_lqr(X, y, 0.3, 0.5)
+    assert full.converged and full.n_iter > 1
+    assert full.objective_trace[-1] <= capped.objective_trace[-1]
 
 
 # ---------------------------------------------------------------- tune_alpha
@@ -191,6 +247,29 @@ def test_tune_alpha_recovers_informative_superset():
     assert losses[best] <= losses[min(fits)] + 1e-12
 
 
+def test_anchored_grid_starts_where_beta_zero_stops_being_optimal():
+    highs_l1qr = _highs()
+    rng = np.random.default_rng(14)
+    train, val = _split_data(rng, d=40, n=160)
+    X, y = train
+    n = len(y)
+    for tau in (0.1, 0.5, 0.9):
+        top = alpha_max(X, y, tau)
+        _, fits = tune_alpha(train, val, tau, alpha_grid=6)
+        grid = sorted(fits)
+        assert len(grid) == 6 and grid[-1] == top / n
+        assert grid[0] == pytest.approx(1e-2 * top / n, rel=1e-12)
+        at_top = fits[grid[-1]]
+        assert at_top.n_iter == 0 and at_top.converged and np.all(at_top.beta == 0.0)
+        empty = objective(X, y, tau, top, np.zeros(X.shape[1]), pinball_quantile(y, tau))
+        assert highs_l1qr(X, y, tau, top)[0] == pytest.approx(empty, rel=1e-9)
+        below = 0.99 * top
+        optimum = highs_l1qr(X, y, tau, below)[0]
+        empty = objective(X, y, tau, below, np.zeros(X.shape[1]), pinball_quantile(y, tau))
+        assert optimum < empty * (1 - 1e-9)
+        assert np.count_nonzero(fit_l1_lqr(X, y, tau, below).beta) > 0
+
+
 def test_tune_alpha_rejects_out_of_range_grid():
     rng = np.random.default_rng(10)
     train, val = _split_data(rng)
@@ -208,7 +287,8 @@ def _fit_with(beta_by_name, tau, alpha=0.1):
     for name, val in beta_by_name.items():
         beta[names.index(name)] = val
     return L1QuantileFit(tau=tau, alpha=alpha, beta=beta, intercept=0.0,
-                         objective_trace=[0.0], converged=True, n_iter=1)
+                         objective_trace=[0.0], converged=True, n_iter=1,
+                         gap=0.0, alpha_max=1.0)
 
 
 def test_select_features_threshold_and_union():
