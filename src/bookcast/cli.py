@@ -10,9 +10,11 @@ where an area's key hashes only the config fields its outputs depend on
 (``STAGE_FIELDS``): changing a model setting reuses the synth, features and
 selection directories, and reruns with the same fields overwrite identical
 content. ``workspace`` and ``jobs`` key nothing. A command that needs a
-missing upstream output makes it first; transfer domains keep their
-selections in the selection area under their own keys. Exit codes: 0
-success, 1 runtime failure, 2 config error.
+missing upstream output makes it first. Every selection, the main split's
+or a transfer domain's under its own key, is fitted by ``_fit_selection``
+(which names an uncertified fit and exits 1 on an empty union) and read
+back from its ``selection.json``. Exit codes: 0 success, 1 runtime
+failure, 2 config error.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .search import write_trials_jsonl
 from .selection import (SOLVER_FIELDS, SelectionResult, SolverConfig,
                         importance_breakdown, solver_config, top_k, top_k_union)
 from .target import LEAD_TIME
-from .transfer import (FEATURE_MODES, STRATEGIES, check_strategies,
+from .transfer import (FEATURE_MODES, STRATEGIES, Domain, check_strategies,
                        domain_from_split, ensure_selection, run_pair, sweep_point)
 from .util import UTC, config_hash, file_sha256, parse_timestamp
 
@@ -373,8 +375,20 @@ def _split(run: Run) -> market.DatasetSplit:
         return split_dataset(market.read_samples_csv(fh), run.boundaries)
 
 
-def _write_selection(run: Run, sel: SelectionResult) -> Path:
-    """Write ``selection.json`` and ``top_features.csv`` under run's selection key."""
+def _fit_selection(run: Run, domain: Domain) -> Path:
+    """Fit ``domain``'s selection and write ``selection.json`` and
+    ``top_features.csv`` under run's selection key. An uncertified tau is
+    named on stderr; an empty union exits 1 before anything is written."""
+    sel = ensure_selection(domain, run.quantiles, run.alpha_grid, run.solver_cfg)
+    uncertified = [f"{t} (gap {r['gap']:.2g})" for t, r in sel.solver.items()
+                   if not r["converged"]]
+    if uncertified:
+        print(f"L1-QR fit of domain {domain.name} not certified optimal at tau "
+              + ", ".join(uncertified), file=sys.stderr)
+    if not sel.union:
+        print(f"selection is empty for domain {domain.name}: every coefficient "
+              "fell below the zero threshold at the tuned penalty", file=sys.stderr)
+        raise SystemExit(1)
     payload = sel.to_dict()
     payload["breakdown"] = importance_breakdown(sel).to_dict()
     out = run.write_json("selection", "selection.json", payload)
@@ -391,50 +405,35 @@ def _write_selection(run: Run, sel: SelectionResult) -> Path:
     return out
 
 
-def _domain(run: Run, name: str, synth_section: dict):
+def cmd_select(run: Run) -> Path:
+    return _fit_selection(run, domain_from_split("main", _split(run)))
+
+
+def _selection(run: Run, make) -> SelectionResult:
+    """The selection under run's key; ``make(run)`` fits it first if missing."""
+    path = _output(run, "selection", "selection.json", make)
+    return SelectionResult.from_dict(json.loads(path.read_text()), FEATURE_NAMES)
+
+
+def _domain(run: Run, name: str, synth_section: dict) -> Domain:
     """A synthetic transfer domain keyed as the main config with the domain's
     merged synth section. Its samples come from that key's ``features.csv``
     when ``extract`` wrote one, and are built in memory (not written)
-    otherwise; its selection goes through the selection area under the same
-    key."""
+    otherwise; its selection is that key's, fitted as ``select`` fits one."""
     dom_run = Run({**run.cfg, "synth": synth_section, "trades_csv": None})
     if dom_run.path("features", "features.csv").exists():
         dom = domain_from_split(name, _split(dom_run))
     else:
         dom, _ = synth.build_domain(name, dom_run.synth_cfg, run.spec,
                                     run.start, run.end, run.boundaries)
-    cached = dom_run.path("selection", "selection.json")
-    if cached.exists():
-        dom.selection = SelectionResult.from_dict(json.loads(cached.read_text()),
-                                                  FEATURE_NAMES)
-    else:
-        sel = ensure_selection(dom, dom_run.quantiles, dom_run.alpha_grid,
-                               dom_run.solver_cfg)
-        if sel.union:  # an empty selection is select's exit-1 case, never cached
-            _write_selection(dom_run, sel)
+    dom.selection = _selection(dom_run, lambda r: _fit_selection(r, dom))
     return dom
-
-
-def cmd_select(run: Run) -> Path:
-    domain = domain_from_split("main", _split(run))
-    sel = ensure_selection(domain, run.quantiles, run.alpha_grid, run.solver_cfg)
-    uncertified = [f"{t} (gap {r['gap']:.2g})" for t, r in sel.solver.items()
-                   if not r["converged"]]
-    if uncertified:
-        print("L1-QR fit not certified optimal at tau " + ", ".join(uncertified),
-              file=sys.stderr)
-    if not sel.union:
-        print("selection is empty: every coefficient fell below the zero "
-              "threshold at the tuned penalty", file=sys.stderr)
-        raise SystemExit(1)
-    return _write_selection(run, sel)
 
 
 def _feature_set(run: Run) -> List[str]:
     if run.feature_set in NAIVE_FEATURE_SETS:
         return list(NAIVE_FEATURE_SETS[run.feature_set])
-    path = _output(run, "selection", "selection.json", cmd_select)
-    sel = SelectionResult.from_dict(json.loads(path.read_text()), FEATURE_NAMES)
+    sel = _selection(run, cmd_select)
     if run.feature_set == "full":
         return list(sel.union)
     return top_k_union(sel, run.top_k)

@@ -48,16 +48,14 @@ AlphaGrid = Union[None, int, Sequence[float]]
 
 @dataclass
 class SolverConfig:
-    """``max_iter`` caps the interior-point iterations. ``kappa``, ``stages``
-    and ``rel_tol`` set the smoothing solver this one replaced; they are
-    still accepted and have no effect."""
-    kappa: float = 1e-4
+    """``max_iter`` caps the interior-point iterations. ``stages`` belonged
+    to the smoothing solver this one replaced and has no effect; it stays
+    until the benchmark configs that set it change."""
     stages: int = 3
     max_iter: int = 10_000
-    rel_tol: float = 1e-8
 
 
-# each SolverConfig field's type; YAML reads an exponent such as 1e-3 as text
+# each SolverConfig field's type; a config may write a number as text
 SOLVER_FIELDS = {k: type(v) for k, v in asdict(SolverConfig()).items()}
 
 

@@ -324,16 +324,58 @@ def test_select_records_each_fit_and_names_uncertified_ones(tmp_path, capsys):
     assert all(f"{tau} (gap" in uncertified[0] for tau in (0.1, 0.5, 0.9)), err
 
 
+def _empty_selection(domain, quantiles, *args, **kwargs):
+    return SelectionResult(quantiles=tuple(quantiles), feature_names=FEATURE_NAMES,
+                           per_tau_selected={t: [] for t in quantiles},
+                           per_tau_coef={t: {} for t in quantiles},
+                           alpha_per_tau={t: 1.0 for t in quantiles})
+
+
 def test_empty_selection_exits_1_without_writing(tmp_path, monkeypatch, capsys):
-    def empty(domain, quantiles, *args, **kwargs):
-        return SelectionResult(quantiles=tuple(quantiles), feature_names=FEATURE_NAMES,
-                               per_tau_selected={t: [] for t in quantiles},
-                               per_tau_coef={t: {} for t in quantiles},
-                               alpha_per_tau={t: 1.0 for t in quantiles})
-    monkeypatch.setattr(cli, "ensure_selection", empty)
+    monkeypatch.setattr(cli, "ensure_selection", _empty_selection)
     assert run_cli("select", "--config", str(write_cfg(tmp_path))) == 1
-    assert "selection is empty" in capsys.readouterr().err
+    assert "selection is empty for domain main" in capsys.readouterr().err
     assert not list((tmp_path / "ws").rglob("selection.json"))
+
+
+_TRANSFER_AB = {"model_family": "qknn", "budget": 2, "seeds": [0],
+                "domain_a": {"name": "A", "synth": {"liquidity": 10.0}},
+                "domain_b": {"name": "B", "synth": {"liquidity": 25.0}}}
+
+
+def test_transfer_names_each_domains_uncertified_fits(tmp_path, capsys):
+    # one interior-point iteration leaves some tau of each domain uncertified
+    # (and neither selection empty)
+    pair = {**_TRANSFER_AB, "domain_b": {"name": "B", "synth": {"liquidity": 15.0}}}
+    cfg = write_cfg(tmp_path, transfer=pair,
+                    selector={"alpha_grid_size": 4, "max_iter": 1})
+    assert run_cli("transfer", "--config", str(cfg)) == 0
+    err = capsys.readouterr().err.splitlines()
+    uncertified = [line for line in err if "not certified" in line]
+    assert len(uncertified) == 2, err
+    assert "domain A " in uncertified[0] and "domain B " in uncertified[1], err
+
+
+def test_transfer_empty_domain_selection_exits_1_before_any_fit(tmp_path, monkeypatch,
+                                                                capsys):
+    ensure = cli.ensure_selection
+
+    def empty_for_b(domain, *args, **kwargs):
+        return (_empty_selection if domain.name == "B" else ensure)(domain, *args, **kwargs)
+
+    calls = {"run_experiment": 0}
+    monkeypatch.setattr(cli, "ensure_selection", empty_for_b)
+    monkeypatch.setattr(transfer, "run_experiment",
+                        _counting(calls, "run_experiment", transfer.run_experiment))
+    cfg = write_cfg(tmp_path, transfer=_TRANSFER_AB,
+                    selector={"alpha_grid_size": 4, "max_iter": 200})
+    assert run_cli("transfer", "--config", str(cfg)) == 1
+    assert "selection is empty for domain B" in capsys.readouterr().err
+    assert calls == {"run_experiment": 0}
+    run = Run(load_config(str(cfg), {}))
+    b_key = Run({**run.cfg, "synth": run.domains[1][1]}).keys["selection"]
+    written = [p.parent.name for p in (tmp_path / "ws").rglob("selection.json")]
+    assert b_key not in written and len(written) == 1, written
 
 
 def test_extract_short_trade_row_exits_1_naming_the_line(tmp_path, capsys):
@@ -613,6 +655,12 @@ COMMAND_NAMES = ("synth", "extract", "select", "train", "evaluate", "transfer")
      {"transfer": {"domain_b": {"synth": {"session_hours": 0.3}}}}),
     ("model.config.solver",
      {"model": {"family": "lqr", "config": {"solver": {"bogus": 1}}}}),
+    # the smoothing solver's settings are unknown fields, and a solver
+    # field that does not cast is still an error
+    ("selector.rel_tol", {"selector": {"rel_tol": 1e-8}}),
+    ("selector.max_iter", {"selector": {"max_iter": "abc"}}),
+    ("transfer.model_config.solver",
+     {"transfer": {"model_family": "lqr", "model_config": {"solver": {"kappa": 1e-3}}}}),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_bad_config_exits_2_before_any_work(tmp_path, capsys, monkeypatch, field, extra):
     calls = {"generate": 0, "build_samples": 0, "tune_alpha": 0}

@@ -88,14 +88,16 @@ def test_lqr_intercept_only_quantiles():
 
 
 def test_lqr_solver_from_a_mapping_of_its_fields():
-    # a config file can give the solver only as a mapping; YAML reads an
-    # exponent without a dot, such as 1e-3, as text
-    m = LQRModel(Q3, solver={"kappa": "1e-3", "stages": 1})
-    assert m.solver == SolverConfig(kappa=1e-3, stages=1)
+    # a config file can give the solver only as a mapping, whose numbers
+    # may be written as text
+    m = LQRModel(Q3, solver={"max_iter": "7", "stages": "1"})
+    assert m.solver == SolverConfig(max_iter=7, stages=1)
     assert LQRModel(Q3, solver=m.solver).solver is m.solver
     assert LQRModel(Q3).solver == SolverConfig()
-    with pytest.raises(TypeError, match="bogus"):
-        LQRModel(Q3, solver={"bogus": 1})
+    # the smoothing solver's kappa and rel_tol are gone
+    for key in ("bogus", "kappa", "rel_tol"):
+        with pytest.raises(TypeError, match=key):
+            LQRModel(Q3, solver={key: 1})
 
 
 # ---------------------------------------------------------------- QKNN
