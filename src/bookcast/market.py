@@ -4,6 +4,14 @@ All timestamps are UTC internally. The canonical trade CSV schema is
 ``product_start,side,exec_time,price,volume`` with side "+" (buy) or "-"
 (sell). Products are identified purely by their UTC delivery start; no
 DST special-casing.
+
+Trades (``trades.csv``) and samples (``features.csv``) cross the disk as
+CSV. The four codecs work on whole columns, a fixed-size block of rows at
+a time, so their memory is bounded by the block and not by the file.
+Writers emit the bytes ``csv.writer`` would emit for ``format_timestamp``
+and ``repr`` fields. Readers parse a block of plain canonical lines column
+by column and hand any other block to a per-row parse that reports the
+first bad line and field; both give the same values.
 """
 
 from __future__ import annotations
@@ -22,7 +30,8 @@ import numpy as np
 
 from . import features as feat
 from .target import LEAD_TIME, compute_id3
-from .util import UTC, format_timestamp, from_micros, parse_timestamp, to_micros
+from .util import (UTC, format_micros, format_timestamp, from_micros, parse_micros,
+                   parse_timestamp, to_micros)
 
 log = logging.getLogger(__name__)
 
@@ -42,15 +51,24 @@ PRODUCT_DURATIONS = {
 }
 
 
-class TradeParseError(ValueError):
-    """Malformed trade CSV content (carries the 1-based line number and,
-    when one field is at fault, its column name)."""
+class CsvParseError(ValueError):
+    """Malformed CSV content (carries the 1-based line number and, when one
+    field is at fault, its column name). A line is one CSV record: a blank
+    line counts, and a quoted field may span physical lines."""
 
     def __init__(self, line: int, message: str, field: Optional[str] = None):
         where = f"line {line}" if field is None else f"line {line}, field {field!r}"
         super().__init__(f"{where}: {message}")
         self.line = line
         self.field = field
+
+
+class TradeParseError(CsvParseError):
+    """Malformed trade CSV content."""
+
+
+class SampleParseError(CsvParseError):
+    """Malformed sample (``features.csv``) content."""
 
 
 @dataclass(frozen=True)
@@ -221,11 +239,138 @@ class DatasetSplit:
     boundaries: Optional[SplitBoundaries] = None
 
 
-def _parse_field(lineno: int, name: str, parse, raw: str):
+# fields per block of the CSV codecs (1,024 trade rows, 13 sample rows): a
+# block's text, field strings and columns are made and dropped together, so
+# memory stays bounded by the block and not by the file. Larger blocks are
+# no faster and leave more of the heap in use after a parse.
+BLOCK_FIELDS = 5 << 10
+
+
+def _block_rows(n_fields: int) -> int:
+    return max(1, BLOCK_FIELDS // n_fields)
+
+
+def _blocks(items: Iterable, size: int) -> Iterator[list]:
+    """Consecutive lists of up to ``size`` items."""
+    it = iter(items)
+    return iter(lambda: list(itertools.islice(it, size)), [])
+
+
+def _parse_field(error, lineno: int, name: str, parse, raw: str):
     try:
         return parse(raw)
     except (ValueError, OverflowError) as exc:
-        raise TradeParseError(lineno, str(exc), name) from None
+        raise error(lineno, str(exc), name) from None
+
+
+def _parse_blocks(lines: Iterator[str], n_fields: int, fast, slow) -> Iterator:
+    """Parse the CSV records of ``n_fields`` fields after the header, a block
+    of lines at a time.
+
+    A line is plain when, without its line end, it holds no quote, no
+    carriage return and no more than ``csv.field_size_limit()`` characters:
+    ``csv.reader`` then splits it at each comma. When every line of a block
+    is plain and has ``n_fields`` fields or none, ``fast(lines,
+    line_numbers)`` gets the non-blank ones. It returns None for a block it
+    does not take, and ``slow(records, lineno)`` gets the block's records
+    from ``csv.reader`` instead, read on into ``lines`` while a quoted field
+    spans lines. Line numbers count records from 2, blank ones included.
+    """
+    lineno = 2
+    for block in _blocks(lines, _block_rows(n_fields)):
+        parsed = None
+        plain = list(map(str.rstrip, block, itertools.repeat("\r\n")))
+        text = "".join(plain)
+        if ('"' not in text and "\r" not in text
+                and max(map(len, plain)) <= csv.field_size_limit()):
+            filled = np.fromiter(map(bool, plain), dtype=bool, count=len(plain))
+            commas = np.fromiter(map(str.count, plain, itertools.repeat(",")),
+                                 dtype=np.int64, count=len(plain))
+            if ((commas == n_fields - 1) | ~filled).all():
+                parsed = fast(list(itertools.compress(plain, filled)),
+                              np.flatnonzero(filled) + lineno)
+        n_records = len(block)
+        if parsed is None:
+            reader = csv.reader(itertools.chain(block, lines))
+            records = []
+            for row in reader:
+                records.append(row)
+                if reader.line_num >= len(block):
+                    break
+            parsed = slow(records, lineno)
+            n_records = len(records)
+        yield parsed
+        lineno += n_records
+
+
+def _trade_records(records: List[List[str]], lineno: int, tz: dt.tzinfo):
+    """The columns of the accepted rows and the rejected rows, parsed one
+    record at a time; raises TradeParseError at the first bad row."""
+
+    def micros(raw: str) -> int:
+        return to_micros(parse_timestamp(raw, tz))
+
+    rows: List[tuple] = []
+    rejected: List[RejectedRow] = []
+    for line, row in enumerate(records, lineno):
+        if not row:
+            continue
+        if len(row) != 5:
+            raise TradeParseError(line, f"expected 5 fields, got {len(row)}")
+        raw_start, raw_side, raw_exec, raw_price, raw_volume = row
+        product_us = _parse_field(TradeParseError, line, "product_start", micros, raw_start)
+        side = raw_side.strip()
+        if side not in SIDES:
+            raise TradeParseError(line, f"side must be '+' or '-', got {raw_side!r}", "side")
+        exec_us = _parse_field(TradeParseError, line, "exec_time", micros, raw_exec)
+        price = _parse_field(TradeParseError, line, "price", float, raw_price)
+        volume = _parse_field(TradeParseError, line, "volume", float, raw_volume)
+        for name, value in (("price", price), ("volume", volume)):
+            if not math.isfinite(value):
+                raise TradeParseError(line, f"non-finite value {value!r}", name)
+        if volume <= 0:
+            rejected.append(RejectedRow(line, f"volume {volume} <= 0"))
+            continue
+        if exec_us >= product_us:
+            rejected.append(RejectedRow(line, "exec_time at or after product_start"))
+            continue
+        rows.append((product_us, exec_us, side == BUY, price, volume))
+    columns = list(zip(*rows)) or [()] * 5
+    return [np.array(c, dtype=d) for c, d in zip(columns, _COLUMN_DTYPES)], rejected
+
+
+def _trade_lines(lines: List[str], line_no: np.ndarray):
+    """What ``_trade_records`` returns for these five-field lines, column by
+    column; None unless every row has ``Z`` timestamps in the canonical
+    form, side ``+`` or ``-`` and finite numbers."""
+    fields = ",".join(lines).split(",")
+    sides = fields[1::5]
+    if not set(sides) <= set(SIDES):
+        return None
+    starts = list(dict.fromkeys(fields[0::5]))  # one per product
+    start_us = parse_micros(starts)
+    exec_us = parse_micros(fields[2::5])
+    if start_us is None or exec_us is None:
+        return None
+    try:  # float() of each string, as the per-row parse applies it
+        price = np.array(fields[3::5], dtype=np.float64)
+        volume = np.array(fields[4::5], dtype=np.float64)
+    except ValueError:
+        return None
+    if not (np.isfinite(price).all() and np.isfinite(volume).all()):
+        return None
+    by_start = dict(zip(starts, start_us.tolist()))
+    product_us = np.fromiter(map(by_start.__getitem__, fields[0::5]), dtype=np.int64,
+                             count=len(lines))
+    is_buy = np.fromiter(map(BUY.__eq__, sides), dtype=bool, count=len(lines))
+    low_volume = volume <= 0
+    bad = low_volume | (exec_us >= product_us)
+    rejected = [RejectedRow(line, f"volume {v} <= 0" if low
+                            else "exec_time at or after product_start")
+                for line, low, v in zip(line_no[bad].tolist(), low_volume[bad].tolist(),
+                                        volume[bad].tolist())]
+    keep = ~bad
+    return [product_us[keep], exec_us[keep], is_buy[keep], price[keep], volume[keep]], rejected
 
 
 def parse_trades(source, tz: dt.tzinfo = UTC) -> Tuple[TradeTable, List[RejectedRow]]:
@@ -233,64 +378,55 @@ def parse_trades(source, tz: dt.tzinfo = UTC) -> Tuple[TradeTable, List[Rejected
 
     Returns the trades as a table sorted by (exec_time, seq) with seq
     assigned in input order, plus the rejected rows (non-positive volume,
-    exec_time at or after delivery). Structurally malformed rows raise
-    TradeParseError naming the line and the field.
+    exec_time at or after delivery) in line order. Structurally malformed
+    rows raise TradeParseError naming the line and the field.
+
+    The rows are read a block of lines at a time (see ``BLOCK_FIELDS``). A
+    block of canonical rows, as ``write_trades_csv`` writes them, is parsed
+    column by column. Any other block (quoted or padded fields, naive
+    timestamps read in ``tz``, a malformed row) is parsed one row at a time,
+    which accepts the same rows with the same values and raises at the
+    first bad one.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    reader = csv.reader(source)
+    lines = iter(io.StringIO(source) if isinstance(source, str) else source)
     try:
-        header = next(reader)
+        header = next(csv.reader(lines))
     except StopIteration:
         raise TradeParseError(1, "empty input, expected header") from None
     if [h.strip() for h in header] != TRADE_CSV_HEADER:
         raise TradeParseError(1, f"bad header {header!r}, expected {TRADE_CSV_HEADER}")
-
-    def micros(raw: str) -> int:
-        return to_micros(parse_timestamp(raw, tz))
-
-    rows: List[tuple] = []
+    parts: List[List[np.ndarray]] = []
     rejected: List[RejectedRow] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 5:
-            raise TradeParseError(lineno, f"expected 5 fields, got {len(row)}")
-        raw_start, raw_side, raw_exec, raw_price, raw_volume = row
-        product_us = _parse_field(lineno, "product_start", micros, raw_start)
-        side = raw_side.strip()
-        if side not in SIDES:
-            raise TradeParseError(lineno, f"side must be '+' or '-', got {raw_side!r}",
-                                  "side")
-        exec_us = _parse_field(lineno, "exec_time", micros, raw_exec)
-        price = _parse_field(lineno, "price", float, raw_price)
-        volume = _parse_field(lineno, "volume", float, raw_volume)
-        for name, value in (("price", price), ("volume", volume)):
-            if not math.isfinite(value):
-                raise TradeParseError(lineno, f"non-finite value {value!r}", name)
-        if volume <= 0:
-            rejected.append(RejectedRow(lineno, f"volume {volume} <= 0"))
-            continue
-        if exec_us >= product_us:
-            rejected.append(RejectedRow(lineno, "exec_time at or after product_start"))
-            continue
-        rows.append((product_us, exec_us, side == BUY, price, volume, len(rows)))
-    return TradeTable._of_rows(rows)._by_time(), rejected
+    for columns, block_rejected in _parse_blocks(
+            lines, len(TRADE_CSV_HEADER), _trade_lines,
+            lambda records, lineno: _trade_records(records, lineno, tz)):
+        parts.append(columns)
+        rejected += block_rejected
+    columns = [np.concatenate(c) for c in zip(*parts)] or [
+        np.zeros(0, dtype=d) for d in _COLUMN_DTYPES[:5]]
+    table = TradeTable(*columns, np.arange(columns[0].size, dtype=np.int64))
+    # a written file is in (exec_time, seq) order already
+    return (table if (np.diff(table.exec_us) >= 0).all() else table._by_time()), rejected
 
 
 def write_trades_csv(trades: Iterable[Trade], fh) -> None:
-    """Write trades in the canonical schema, ordered by (exec_time, seq)."""
+    """Write trades in the canonical schema, ordered by (exec_time, seq).
+
+    The bytes are those of ``csv.writer`` given ``format_timestamp`` of the
+    times and ``repr`` of the numbers (no field of this schema needs
+    quoting). Each column of a block of rows is formatted at once.
+    """
     table = TradeTable.from_trades(trades)
-    starts = {us: format_timestamp(from_micros(us))
-              for us in np.unique(table.product_us).tolist()}
-    writer = csv.writer(fh)
-    writer.writerow(TRADE_CSV_HEADER)
-    writer.writerows(
-        [starts[p], BUY if buy else SELL, format_timestamp(from_micros(e)),
-         repr(price), repr(volume)]
-        for p, e, buy, price, volume in zip(
-            table.product_us.tolist(), table.exec_us.tolist(), table.is_buy.tolist(),
-            table.price.tolist(), table.volume.tolist()))
+    fh.write(",".join(TRADE_CSV_HEADER) + "\r\n")
+    size = _block_rows(len(TRADE_CSV_HEADER))
+    for lo in range(0, len(table), size):
+        block = table[lo:lo + size]
+        products, index = np.unique(block.product_us, return_inverse=True)
+        starts = np.array(format_micros(products), dtype=object)[index].tolist()
+        sides = np.where(block.is_buy, BUY, SELL).tolist()
+        rows = zip(starts, sides, format_micros(block.exec_us),
+                   map(repr, block.price.tolist()), map(repr, block.volume.tolist()))
+        fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 def enumerate_products(spec: ProductSpec, start: dt.datetime,
@@ -397,37 +533,101 @@ SAMPLE_CSV_FIXED = ["t_d", "t_f", "target_id3", "matched_trade_count"]
 def write_samples_csv(samples: Sequence[Sample], fh, extra: Optional[dict] = None) -> None:
     """One row per sample: fixed columns then the 384 canonical feature columns.
 
-    ``extra`` appends constant metadata columns (e.g. config hash).
+    ``extra`` appends constant metadata columns (e.g. config hash). The
+    bytes are those of ``csv.writer`` given ``format_timestamp`` of the
+    times, ``repr`` of the target and of each feature as a float, and
+    ``str`` of the count and of each extra value. The features are
+    formatted as one column per block of rows.
     """
     extra = extra or {}
     writer = csv.writer(fh)
     writer.writerow(SAMPLE_CSV_FIXED + list(feat.FEATURE_NAMES) + list(extra))
-    for s in samples:
-        if s.features is None:
-            raise ValueError("cannot serialize a sample without features")
-        row = [
-            format_timestamp(s.delivery_time),
-            format_timestamp(s.forecast_time),
-            "" if s.target_id3 is None else repr(s.target_id3),
-            str(s.matched_trade_count),
-        ]
-        row.extend(repr(float(v)) for v in s.features)
-        row.extend(str(v) for v in extra.values())
-        writer.writerow(row)
+    # the constant columns, quoted as csv.writer quotes them inside a row
+    tail = io.StringIO()
+    csv.writer(tail).writerow(["-"] + [str(v) for v in extra.values()])
+    tail = tail.getvalue()[1:]
+    n_features = len(feat.FEATURE_NAMES)
+    for block in _blocks(samples, _block_rows(len(SAMPLE_CSV_FIXED) + n_features)):
+        for s in block:
+            if s.features is None:
+                raise ValueError("cannot serialize a sample without features")
+            if len(s.features) != n_features:
+                raise ValueError(f"sample at {format_timestamp(s.delivery_time)} has "
+                                 f"{len(s.features)} features, expected {n_features}")
+        values = list(map(repr, np.array([s.features for s in block], dtype=np.float64)
+                          .ravel().tolist()))
+        fh.write("".join(
+            f"{format_timestamp(s.delivery_time)},{format_timestamp(s.forecast_time)},"
+            f"{'' if s.target_id3 is None else repr(s.target_id3)},"
+            f"{s.matched_trade_count},"
+            f"{','.join(values[i * n_features:(i + 1) * n_features])}{tail}"
+            for i, s in enumerate(block)))
 
 
 def read_samples_csv(fh) -> List[Sample]:
-    reader = csv.reader(fh)
-    header = next(reader)
+    """The samples of a file ``write_samples_csv`` wrote, in file order.
+
+    Columns after the canonical ones are ignored, and blank lines are
+    skipped. A missing header, a row whose field count differs from the
+    header's, or a value that does not parse raises SampleParseError naming
+    the line and the field. The features of a block of plain lines are
+    parsed at once with ``np.loadtxt``; any other block is parsed one
+    value at a time.
+    """
+    lines = iter(fh)
+    try:
+        header = next(csv.reader(lines))
+    except StopIteration:
+        raise SampleParseError(1, "empty input, expected header") from None
     expected = SAMPLE_CSV_FIXED + list(feat.FEATURE_NAMES)
     if header[: len(expected)] != expected:
-        raise ValueError("sample CSV header does not match the canonical layout")
-    out: List[Sample] = []
-    for row in reader:
-        t_d = parse_timestamp(row[0])
-        t_f = parse_timestamp(row[1])
-        target = float(row[2]) if row[2] else None
-        count = int(row[3])
-        vec = np.array([float(v) for v in row[4: 4 + len(feat.FEATURE_NAMES)]])
-        out.append(Sample(t_d, t_f, vec, target, count))
+        raise SampleParseError(1, "header does not match the canonical sample layout")
+    blocks = _parse_blocks(lines, len(header), _sample_lines,
+                           lambda records, lineno: _sample_records(records, lineno, len(header)))
+    return [s for block in blocks for s in block]
+
+
+_FEATURE_COLUMNS = range(len(SAMPLE_CSV_FIXED), len(SAMPLE_CSV_FIXED) + len(feat.FEATURE_NAMES))
+
+
+def _sample_lines(lines: List[str], line_no: np.ndarray) -> Optional[List[Sample]]:
+    """The samples of plain lines of the right field count; None when a
+    feature value does not parse, so that ``_sample_records`` names it."""
+    if not lines:
+        return []
+    try:  # accepts a subset of what float() accepts, with the same values
+        values = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None,
+                            usecols=_FEATURE_COLUMNS, ndmin=2)
+    except ValueError:
+        return None
+    return [_parse_sample(line, row.split(",", len(SAMPLE_CSV_FIXED)), features)
+            for line, row, features in zip(line_no.tolist(), lines, values)]
+
+
+def _sample_records(records: List[List[str]], lineno: int, n_fields: int) -> List[Sample]:
+    """The samples of ``csv.reader`` records, parsed one value at a time."""
+    out = []
+    for line, row in enumerate(records, lineno):
+        if row:
+            if len(row) != n_fields:
+                raise SampleParseError(line, f"expected {n_fields} fields, got {len(row)}")
+            out.append(_parse_sample(line, row, None))
     return out
+
+
+def _parse_sample(line: int, row: List[str], features: Optional[np.ndarray]) -> Sample:
+    """A Sample from a record's fixed fields and its parsed features; the
+    features are parsed here from the record when not given. Raises
+    SampleParseError naming the first bad field."""
+
+    def parse(name, convert, raw):
+        return _parse_field(SampleParseError, line, name, convert, raw)
+
+    t_d = parse("t_d", parse_timestamp, row[0])
+    t_f = parse("t_f", parse_timestamp, row[1])
+    target = parse("target_id3", float, row[2]) if row[2] else None
+    count = parse("matched_trade_count", int, row[3])
+    if features is None:
+        features = np.array([parse(name, float, raw) for name, raw in
+                             zip(feat.FEATURE_NAMES, row[len(SAMPLE_CSV_FIXED):])])
+    return Sample(t_d, t_f, features, target, count)

@@ -3,11 +3,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from bookcast.market import Trade
 from bookcast.util import UTC
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# every run draws the same examples (derandomize also turns off the example
+# database), and no example fails for taking long on a busy host
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 T_D = dt.datetime(2024, 6, 1, 12, 0, tzinfo=UTC)
 T_F = T_D - dt.timedelta(minutes=180)

@@ -6,12 +6,18 @@ avoiding the library's vectorized code paths.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
 
+from bookcast.features import FEATURE_NAMES
+from bookcast.market import (BUY, SAMPLE_CSV_FIXED, SELL, SIDES, TRADE_CSV_HEADER,
+                             RejectedRow, Sample, TradeParseError, TradeTable)
 from bookcast.metrics import aql, pinball
-from bookcast.util import pinball_quantile, rng_for, soft_threshold, to_micros
+from bookcast.util import (UTC, format_timestamp, from_micros, parse_timestamp,
+                           pinball_quantile, rng_for, soft_threshold, to_micros)
 
 
 def brute_id3(trades, t_d, delta_m):
@@ -489,3 +495,106 @@ def reference_qmlp_fit(quantiles, seed, X, y, X_val=None, y_val=None,
     else:
         best_epoch = len(loss_trace)
     return weights, biases, loss_trace, val_trace, best_epoch
+
+
+# ------------------------------------------------------------ CSV codecs
+# The trade and sample CSV codecs as they were when they worked one row, or
+# one value, at a time; the columnar codecs must match them byte for byte
+# and value for value.
+
+def reference_parse_trades(source, tz=UTC):
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    reader = csv.reader(source)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise TradeParseError(1, "empty input, expected header") from None
+    if [h.strip() for h in header] != TRADE_CSV_HEADER:
+        raise TradeParseError(1, f"bad header {header!r}, expected {TRADE_CSV_HEADER}")
+
+    def field(lineno, name, parse, raw):
+        try:
+            return parse(raw)
+        except (ValueError, OverflowError) as exc:
+            raise TradeParseError(lineno, str(exc), name) from None
+
+    def micros(raw):
+        return to_micros(parse_timestamp(raw, tz))
+
+    rows = []
+    rejected = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 5:
+            raise TradeParseError(lineno, f"expected 5 fields, got {len(row)}")
+        raw_start, raw_side, raw_exec, raw_price, raw_volume = row
+        product_us = field(lineno, "product_start", micros, raw_start)
+        side = raw_side.strip()
+        if side not in SIDES:
+            raise TradeParseError(lineno, f"side must be '+' or '-', got {raw_side!r}",
+                                  "side")
+        exec_us = field(lineno, "exec_time", micros, raw_exec)
+        price = field(lineno, "price", float, raw_price)
+        volume = field(lineno, "volume", float, raw_volume)
+        for name, value in (("price", price), ("volume", volume)):
+            if not math.isfinite(value):
+                raise TradeParseError(lineno, f"non-finite value {value!r}", name)
+        if volume <= 0:
+            rejected.append(RejectedRow(lineno, f"volume {volume} <= 0"))
+            continue
+        if exec_us >= product_us:
+            rejected.append(RejectedRow(lineno, "exec_time at or after product_start"))
+            continue
+        rows.append((product_us, exec_us, side == BUY, price, volume, len(rows)))
+    return TradeTable._of_rows(rows)._by_time(), rejected
+
+
+def reference_write_trades_csv(trades, fh):
+    table = TradeTable.from_trades(trades)
+    starts = {us: format_timestamp(from_micros(us))
+              for us in np.unique(table.product_us).tolist()}
+    writer = csv.writer(fh)
+    writer.writerow(TRADE_CSV_HEADER)
+    writer.writerows(
+        [starts[p], BUY if buy else SELL, format_timestamp(from_micros(e)),
+         repr(price), repr(volume)]
+        for p, e, buy, price, volume in zip(
+            table.product_us.tolist(), table.exec_us.tolist(), table.is_buy.tolist(),
+            table.price.tolist(), table.volume.tolist()))
+
+
+def reference_write_samples_csv(samples, fh, extra=None):
+    extra = extra or {}
+    writer = csv.writer(fh)
+    writer.writerow(SAMPLE_CSV_FIXED + list(FEATURE_NAMES) + list(extra))
+    for s in samples:
+        if s.features is None:
+            raise ValueError("cannot serialize a sample without features")
+        row = [
+            format_timestamp(s.delivery_time),
+            format_timestamp(s.forecast_time),
+            "" if s.target_id3 is None else repr(s.target_id3),
+            str(s.matched_trade_count),
+        ]
+        row.extend(repr(float(v)) for v in s.features)
+        row.extend(str(v) for v in extra.values())
+        writer.writerow(row)
+
+
+def reference_read_samples_csv(fh):
+    reader = csv.reader(fh)
+    header = next(reader)
+    expected = SAMPLE_CSV_FIXED + list(FEATURE_NAMES)
+    if header[: len(expected)] != expected:
+        raise ValueError("sample CSV header does not match the canonical layout")
+    out = []
+    for row in reader:
+        t_d = parse_timestamp(row[0])
+        t_f = parse_timestamp(row[1])
+        target = float(row[2]) if row[2] else None
+        count = int(row[3])
+        vec = np.array([float(v) for v in row[4: 4 + len(FEATURE_NAMES)]])
+        out.append(Sample(t_d, t_f, vec, target, count))
+    return out

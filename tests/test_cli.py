@@ -390,6 +390,16 @@ def test_extract_short_trade_row_exits_1_naming_the_line(tmp_path, capsys):
     assert not (tmp_path / "ws" / "features").exists()
 
 
+def test_select_on_an_empty_features_csv_exits_1_naming_line_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    assert run_cli("extract", "--config", str(cfg)) == 0
+    (_hash_dir(tmp_path / "ws", "features") / "features.csv").write_text("")
+    capsys.readouterr()
+    assert run_cli("select", "--config", str(cfg)) == 1
+    err = capsys.readouterr().err
+    assert err == "error: SampleParseError: line 1: empty input, expected header\n"
+
+
 def test_train_top5_checkpoints_the_top_k_union(tmp_path):
     cfg = write_cfg(tmp_path, seeds=[0], selector={"top_k": 2},
                     model={"feature_set": "top5"})

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from bookcast.features import FEATURE_NAMES, WINDOW_LABELS, extract_features
-from bookcast.market import (ProductSpec, SplitBoundaries, Trade, TradeParseError,
-                             TradeTable, build_samples, enumerate_products,
-                             parse_trades, split_dataset, supervised,
+from bookcast.market import (ProductSpec, SampleParseError, SplitBoundaries, Trade,
+                             TradeParseError, TradeTable, build_samples,
+                             enumerate_products, parse_trades, read_samples_csv,
+                             split_dataset, supervised, write_samples_csv,
                              write_trades_csv)
 from bookcast.synth import SynthConfig, generate
 from bookcast.target import LEAD_TIME, compute_id3
@@ -336,9 +337,7 @@ def test_lead_time_invariant_on_built_samples(t_d):
         assert s.delivery_time - s.forecast_time == dt.timedelta(minutes=180)
 
 
-def test_samples_csv_round_trip():
-    import io
-    from bookcast.market import read_samples_csv, write_samples_csv
+def _three_samples():
     spec = ProductSpec(market="DE", product_type="60min")
     t_d0 = dt.datetime(2024, 6, 1, 12, tzinfo=UTC)
     trades = []
@@ -348,6 +347,17 @@ def test_samples_csv_round_trip():
                    mk_trade(5, 51 + k, 2, side="-", seq=3 * k + 1, t_d=t_d),
                    mk_window_trade(30, 60 + k, 1, side="+", seq=3 * k + 2, t_d=t_d)]
     samples, _ = build_samples(trades, spec, t_d0, t_d0 + dt.timedelta(hours=3))
+    return samples
+
+
+def _samples_csv_lines(extra=None):
+    buf = io.StringIO()
+    write_samples_csv(_three_samples(), buf, extra=extra)
+    return buf.getvalue().split("\r\n")
+
+
+def test_samples_csv_round_trip():
+    samples = _three_samples()
     buf = io.StringIO()
     write_samples_csv(samples, buf)
     buf.seek(0)
@@ -359,6 +369,27 @@ def test_samples_csv_round_trip():
         assert a.target_id3 == b.target_id3
         assert a.matched_trade_count == b.matched_trade_count
         assert np.array_equal(a.features, b.features)
+
+
+def test_read_samples_csv_rejects_a_row_short_of_features():
+    lines = _samples_csv_lines()
+    fields = lines[2].split(",")
+    lines[2] = ",".join(fields[:4 + 300])  # 300 of the 384 features
+    with pytest.raises(SampleParseError) as err:
+        read_samples_csv(io.StringIO("\r\n".join(lines)))
+    assert str(err.value) == "line 3: expected 388 fields, got 304"
+    assert err.value.line == 3 and err.value.field is None
+
+
+def test_read_samples_csv_names_the_line_and_field_of_a_bad_value():
+    lines = _samples_csv_lines(extra={"config_hash": "abc"})
+    fields = lines[2].split(",")
+    fields[4 + FEATURE_NAMES.index("vwap|buy|15")] = "x"
+    lines[2] = ",".join(fields)
+    with pytest.raises(SampleParseError) as err:
+        read_samples_csv(io.StringIO("\r\n".join(lines)))
+    assert str(err.value) == ("line 3, field 'vwap|buy|15': "
+                              "could not convert string to float: 'x'")
 
 
 def test_split_partition_accounting():
