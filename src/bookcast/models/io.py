@@ -2,7 +2,8 @@
 
 Checkpoints are npz containers holding a JSON metadata entry (format
 version, family tag, config, seed, optional preprocessing) plus the raw
-float64 parameter arrays, so a reloaded model reproduces its predictions
+parameter arrays in the dtype the model holds them (float32 for ``qmlp``,
+float64 otherwise), so a reloaded model reproduces its predictions
 bit-exactly.
 """
 

@@ -6,7 +6,16 @@ Pure numpy: forward, backprop, inverted dropout, and Adam (Kingma & Ba,
 differences. Training uses mini-batches with early stopping on validation
 AQL (patience 10) and restores the best-epoch weights.
 
-During training all weights and biases live in one flat float64 vector
+Training and prediction run in float32, the usual precision for training
+neural networks: it halves the arithmetic and the bytes moved. ``_fit``
+casts X and X_val once; the loss is taken in float64 against the float64
+targets and its gradient rounded once to float32; ``_predict`` casts its
+input to the parameters' dtype and returns float64. All code follows the
+dtype of the parameter arrays, so a checkpoint holding float64 arrays
+still loads and predicts in float64, and ``_init_params`` keeps float64
+as its default for gradient checks.
+
+During training all weights and biases live in one flat float32 vector
 (W then b per layer; the model's arrays W{i} and b{i} are views of it).
 Backprop writes each layer's gradients into one buffer sized to the largest
 layer, and Adam updates that layer's parameters in place, in fixed blocks,
@@ -35,12 +44,12 @@ ADAM_EPS = 1e-8
 ADAM_BLOCK = 1 << 15
 
 
-def _flat_layers(shapes, shared: bool = False) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-    """A flat float64 vector and its per-layer views W{i} (fan_in, fan_out)
+def _flat_layers(shapes, dtype, shared: bool = False) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+    """A flat ``dtype`` vector and its per-layer views W{i} (fan_in, fan_out)
     and b{i} (fan_out,), laid out W then b per layer; with ``shared`` each
     layer's views start at 0 of one vector sized to the largest layer."""
     sizes = [fan_in * fan_out + fan_out for fan_in, fan_out in shapes]
-    flat = np.empty(max(sizes) if shared else sum(sizes))
+    flat = np.empty(max(sizes) if shared else sum(sizes), dtype=dtype)
     views = {}
     lo = 0
     for i, (fan_in, fan_out) in enumerate(shapes):
@@ -113,18 +122,22 @@ class QMLPModel(QuantileModel):
     def _shapes(self) -> List[Tuple[int, int]]:
         return [self._arrays[f"W{l}"].shape for l in range(self.n_layers + 1)]
 
-    def _init_params(self, n_features: int) -> np.ndarray:
-        """Fresh weights; the model's arrays become views of the returned
-        flat vector, which training updates in place."""
+    def _init_params(self, n_features: int, dtype=np.float64) -> np.ndarray:
+        """Fresh weights, float64 draws rounded to ``dtype``; the model's
+        arrays become views of the returned flat vector, which training
+        updates in place."""
         rng = rng_for(self.seed, 0)
         sizes = [n_features] + [self.hidden_size] * self.n_layers + [len(self.quantiles)]
-        flat, self._arrays = _flat_layers(list(zip(sizes[:-1], sizes[1:])))
+        flat, self._arrays = _flat_layers(list(zip(sizes[:-1], sizes[1:])), dtype)
         for l, fan_in in enumerate(sizes[:-1]):
             bound = 1.0 / np.sqrt(fan_in)
             for a in (self._arrays[f"W{l}"], self._arrays[f"b{l}"]):
                 a[...] = rng.uniform(-bound, bound, size=a.shape)
         return flat
 
+    # inputs beyond the dtype's range, and a diverged network, overflow
+    # here; _fit raises on the non-finite loss
+    @np.errstate(over="ignore", invalid="ignore")
     def _forward(self, X: np.ndarray, dropout_rng=None):
         """Returns (output, cache) with per-layer inputs and dropout masks."""
         acts = [X]
@@ -144,6 +157,8 @@ class QMLPModel(QuantileModel):
         return h @ self._arrays[f"W{top}"] + self._arrays[f"b{top}"], (acts, masks)
 
     def _loss_grad_out(self, y: np.ndarray, out: np.ndarray) -> Tuple[float, np.ndarray]:
+        """Mean pinball loss of float64 targets and its gradient, rounded
+        once to ``out``'s dtype."""
         taus = np.array(self.quantiles)
         # a diverged network overflows here; _fit raises on the non-finite loss
         with np.errstate(over="ignore", invalid="ignore"):
@@ -151,7 +166,7 @@ class QMLPModel(QuantileModel):
             losses = np.where(diff >= 0, taus * diff, (taus - 1.0) * diff)
             loss = float(losses.mean())
             grad = np.where(diff >= 0, -taus, 1.0 - taus) * (1.0 / losses.size)
-        return loss, grad
+        return loss, grad.astype(out.dtype, copy=False)
 
     def _backward(self, acts, masks, g: np.ndarray, grads) -> Iterator[int]:
         """Parameter gradients from d(loss)/d(output), written into the
@@ -177,9 +192,9 @@ class QMLPModel(QuantileModel):
     def loss_and_grads(self, X: np.ndarray, y: np.ndarray):
         """Full-batch loss and analytic parameter gradients (fresh arrays,
         ordered as parameters()), dropout off."""
-        out, (acts, masks) = self._forward(np.asarray(X, dtype=float))
+        out, (acts, masks) = self._forward(self._cast(np.asarray(X, dtype=float)))
         loss, g = self._loss_grad_out(np.asarray(y, dtype=float), out)
-        _, grads = _flat_layers(self._shapes())
+        _, grads = _flat_layers(self._shapes(), out.dtype)
         list(self._backward(acts, masks, g, grads))
         return loss, [grads[name] for name in self.array_names]
 
@@ -189,20 +204,21 @@ class QMLPModel(QuantileModel):
     def _fit(self, X, y, X_val, y_val) -> TrainReport:
         n = X.shape[0]
         validate = X_val is not None and y_val is not None and len(y_val) > 0
+        params = self._init_params(X.shape[1], np.float32)
+        X = self._cast(X)
         if validate:
-            X_val = self._check_matrix(X_val)
-        params = self._init_params(X.shape[1])
+            X_val = self._cast(self._check_matrix(X_val))
         shuffle_rng = rng_for(self.seed, 1)
         dropout_rng = rng_for(self.seed, 2)
         batch = min(self.batch_size, n)
 
         # Adam updates each layer from the shared buffer as backprop yields it
-        grad, grads = _flat_layers(self._shapes(), shared=True)
+        grad, grads = _flat_layers(self._shapes(), params.dtype, shared=True)
         ends = np.cumsum([0] + [grads[f"W{l}"].size + grads[f"b{l}"].size
                                 for l in range(self.n_layers + 1)])
         m_state = np.zeros_like(params)
         v_state = np.zeros_like(params)
-        scratch = np.empty((2, min(ADAM_BLOCK, grad.size)))
+        scratch = np.empty((2, min(ADAM_BLOCK, grad.size)), dtype=params.dtype)
         step = 0
 
         report = TrainReport()
@@ -256,5 +272,11 @@ class QMLPModel(QuantileModel):
             report.early_stop_epoch = len(report.loss_trace)
         return report
 
+    def _cast(self, X: np.ndarray) -> np.ndarray:
+        """X in the parameters' dtype; values beyond its range become
+        infinite without a warning (a fit then fails on its loss)."""
+        with np.errstate(over="ignore"):
+            return X.astype(self._arrays["W0"].dtype, copy=False)
+
     def _predict(self, X) -> np.ndarray:
-        return self._forward(X)[0]
+        return self._forward(self._cast(X))[0].astype(np.float64, copy=False)

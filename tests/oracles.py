@@ -402,24 +402,26 @@ def reference_qmlp_fit(quantiles, seed, X, y, X_val=None, y_val=None,
                        hidden_size=64, n_layers=2, dropout_rate=0.0,
                        learning_rate=1e-3, batch_size=64, max_epochs=500,
                        patience=10, lr_decay=0.0):
-    """QMLP training with weights, biases and Adam state as separate
-    per-tensor arrays and whole-tensor Adam updates.
+    """QMLP training in float32 with weights, biases and Adam state as
+    separate per-tensor arrays and whole-tensor Adam updates.
 
-    Draws the same random streams as ``QMLPModel.fit`` (init, shuffle,
-    dropout). Returns (weights, biases, loss_trace, val_aql_trace,
-    early_stop_epoch) with the best-epoch weights restored.
+    Draws the same random streams as ``QMLPModel.fit`` (init, rounded to
+    float32; shuffle; dropout). The loss is taken in float64 against the
+    float64 targets and its gradient rounded once to float32. Returns
+    (weights, biases, loss_trace, val_aql_trace, early_stop_epoch) with the
+    best-epoch weights restored.
     """
     b1, b2, eps = 0.9, 0.999, 1e-8
     taus = np.array(quantiles)
-    X = np.asarray(X, dtype=float)
+    X = np.asarray(X, dtype=float).astype(np.float32)
     y = np.asarray(y, dtype=float)
     rng = rng_for(seed, 0)
     sizes = [X.shape[1]] + [hidden_size] * n_layers + [len(quantiles)]
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(rng.uniform(-bound, bound, size=fan_out))
+        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(np.float32))
+        biases.append(rng.uniform(-bound, bound, size=fan_out).astype(np.float32))
 
     def forward(A, drop=None):
         acts, masks, h = [A], [], A
@@ -454,7 +456,7 @@ def reference_qmlp_fit(quantiles, seed, X, y, X_val=None, y_val=None,
             diff = y[idx][:, None] - out
             losses = np.where(diff >= 0, taus * diff, (taus - 1.0) * diff)
             epoch_loss += float(losses.mean()) * idx.size
-            g = np.where(diff >= 0, -taus, 1.0 - taus) * (1.0 / losses.size)
+            g = (np.where(diff >= 0, -taus, 1.0 - taus) * (1.0 / losses.size)).astype(np.float32)
             grads_w = [None] * len(weights)
             grads_b = [None] * len(biases)
             grads_w[-1] = acts[-1].T @ g
@@ -480,7 +482,7 @@ def reference_qmlp_fit(quantiles, seed, X, y, X_val=None, y_val=None,
                 p -= lr * m_hat / (np.sqrt(v_hat) + eps)
         loss_trace.append(epoch_loss / n)
         if X_val is not None and y_val is not None and len(y_val):
-            val = aql(y_val, forward(np.asarray(X_val, dtype=float))[0], quantiles)
+            val = aql(y_val, forward(np.asarray(X_val, dtype=np.float32))[0], quantiles)
             val_trace.append(val)
             if val < best_val:
                 best_val, best_epoch, wait = val, epoch, 0

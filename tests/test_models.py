@@ -577,6 +577,40 @@ def test_qmlp_fit_peak_memory_is_few_parameter_vectors():
     assert peak < 5 * param_bytes
 
 
+def test_qmlp_trains_and_checkpoints_in_float32(tmp_path):
+    """Training keeps every parameter-sized array, activation and gradient
+    in float32, predictions reach callers as float64, and a checkpoint
+    holding float64 arrays still predicts in float64."""
+    rng = np.random.default_rng(24)
+    X, y, queries = rng.normal(size=(40, 3)), rng.normal(size=40), rng.normal(size=(7, 3))
+    model = QMLPModel(Q3, seed=6, hidden_size=8, n_layers=2, dropout_rate=0.25,
+                      max_epochs=5)
+    model.fit(X, y, X[:9], y[:9])
+    meta, arrays = model.state()
+    assert {a.dtype for a in arrays.values()} == {np.dtype(np.float32)}
+    out, (acts, _) = model._forward(X.astype(np.float32), rng_for(0, 2))
+    assert {a.dtype for a in acts + [out, model._loss_grad_out(y, out)[1]]} \
+        == {np.dtype(np.float32)}
+    _, grads = model.loss_and_grads(X, y)
+    assert {g.dtype for g in grads} == {np.dtype(np.float32)}
+    expected = model.predict(queries)
+    assert expected.dtype == np.float64
+
+    save_checkpoint(tmp_path / "qmlp.npz", model)
+    loaded, _ = load_checkpoint(tmp_path / "qmlp.npz")
+    for name, a in loaded.state()[1].items():
+        assert a.dtype == np.float32 and a.tobytes() == arrays[name].tobytes()
+    assert loaded.predict(queries).tobytes() == expected.tobytes()
+
+    wide = {name: a.astype(np.float64) for name, a in arrays.items()}
+    old = QMLPModel.from_state(meta, wide)
+    h = queries
+    for l in range(2):
+        h = np.maximum(h @ wide[f"W{l}"] + wide[f"b{l}"], 0.0)
+    plain = h @ wide["W2"] + wide["b2"]
+    assert old.predict(queries).tobytes() == plain.tobytes()
+
+
 def test_qmlp_aborts_on_divergence():
     X = np.full((20, 2), 1e308)  # overflows the first matmul into inf/nan
     y = np.ones(20)
