@@ -3,14 +3,15 @@
 Three strategies per direction: native training, direct transfer of the
 source-selected features and source-trained model, and joint training on
 the union. The loss ratio compares each strategy's test AQL to the native
-baseline; the trade-count ratio measures relative liquidity. Transfers
-from liquid to sparse tend to hold up; the reverse degrades.
+baseline; the trade-count ratio measures relative liquidity. One pair run
+also gives the (C, L) point of both directions: transfers from liquid to
+sparse tend to hold up; the reverse degrades.
 """
 
 import datetime as dt
 
 from bookcast import (ProductSpec, SplitBoundaries, SynthConfig, make_domain_pair,
-                      run_pair, sweep_point)
+                      run_pair)
 from bookcast.selection import SolverConfig, default_alpha_grid
 from bookcast.transfer import trade_count_ratio
 from bookcast.util import UTC
@@ -39,13 +40,8 @@ for strategy, ratio in pair.loss_ratio.items():
     aql = pair.summary[strategy]["aql"]
     print(f"  {strategy:8s} AQL={aql['mean']:.3f}±{aql['std']:.3f}  L={ratio:.3f}")
 
-# the pair above already holds the liquid -> sparse point; the reverse
-# direction needs its own baseline on the liquid domain
-points = [sweep_point(pair),
-          sweep_point(run_pair(liquid, sparse, "qknn", budget=6, seeds=[0, 1],
-                               quantiles=quantiles, strategies=("B->A",),
-                               alpha_grid=grid, solver_cfg=solver))]
+# the reverse direction's baseline and transfer reuse the fits made above
 print("\n(C, L) scatter points:")
-for p in points:
+for p in pair.points:
     print(f"  {p['source']:>7s} -> {p['target']:7s} C={p['trade_count_ratio']:6.2f} "
           f"L={p['loss_ratio']:.3f}")

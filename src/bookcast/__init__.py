@@ -13,8 +13,7 @@ from .selection import (fit_l1_lqr, importance_breakdown, select_features,
                         standardize, top_k, tune_alpha)
 from .synth import SynthConfig, generate, make_domain_pair
 from .target import compute_id3
-from .transfer import (Domain, asymmetry_sweep, run_pair, run_strategy,
-                       sweep_point)
+from .transfer import Domain, run_pair, run_strategy
 
 __all__ = [
     "Domain",
@@ -29,7 +28,6 @@ __all__ = [
     "__version__",
     "aql",
     "aqcr",
-    "asymmetry_sweep",
     "build_samples",
     "compute_id3",
     "enumerate_products",
@@ -51,7 +49,6 @@ __all__ = [
     "select_features",
     "split_dataset",
     "standardize",
-    "sweep_point",
     "top_k",
     "tune_alpha",
 ]

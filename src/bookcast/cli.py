@@ -45,7 +45,7 @@ from .selection import (SOLVER_FIELDS, SelectionResult, SolverConfig,
                         importance_breakdown, solver_config, top_k, top_k_union)
 from .target import LEAD_TIME
 from .transfer import (FEATURE_MODES, STRATEGIES, Domain, check_strategies,
-                       domain_from_split, ensure_selection, run_pair, sweep_point)
+                       domain_from_split, ensure_selection, run_pair)
 from .util import UTC, config_hash, file_sha256, parse_timestamp
 
 log = logging.getLogger("bookcast")
@@ -495,20 +495,11 @@ def cmd_evaluate(run: Run) -> Path:
 
 def cmd_transfer(run: Run) -> Path:
     dom_a, dom_b = (_domain(run, *dom) for dom in run.domains)
-
-    def pair_run(A, B, strategies):
-        return run_pair(A, B, run.transfer_family, run.transfer_budget,
-                        run.transfer_seeds, run.quantiles, strategies=strategies,
-                        base_config=run.transfer_config,
-                        alpha_grid=run.alpha_grid, solver_cfg=run.solver_cfg,
-                        feature_mode=run.feature_mode)
-
-    # the (C, L) scatter reads each direction's B->A point from a pair run,
-    # reusing the configured run when it already holds the forward one
-    pair = pair_run(dom_a, dom_b, run.strategies)
-    forward = pair if "B->A" in pair.loss_ratio else pair_run(dom_a, dom_b, ("B->A",))
-    points = [sweep_point(forward), sweep_point(pair_run(dom_b, dom_a, ("B->A",)))]
-
+    pair = run_pair(dom_a, dom_b, run.transfer_family, run.transfer_budget,
+                    run.transfer_seeds, run.quantiles, strategies=run.strategies,
+                    base_config=run.transfer_config,
+                    alpha_grid=run.alpha_grid, solver_cfg=run.solver_cfg,
+                    feature_mode=run.feature_mode)
     out = run.write_json("transfer", "reports.json", {
         "target": pair.target,
         "source": pair.source,
@@ -524,7 +515,7 @@ def cmd_transfer(run: Run) -> Path:
     run.write_csv("transfer", "scatter.csv",
                   ["target", "source", "trade_count_ratio", "loss_ratio"],
                   [[p["target"], p["source"], repr(p["trade_count_ratio"]),
-                    repr(p["loss_ratio"])] for p in points])
+                    repr(p["loss_ratio"])] for p in pair.points])
     log.info("transfer reports written to %s", out.parent)
     return out
 

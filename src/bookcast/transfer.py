@@ -14,16 +14,16 @@ over repeated seeds); the trade-count ratio divides the source's average
 matched-trade count by the target's.
 
 A model depends only on its sources, never on the target: the (B, seed) fit
-behind A's B->A is also B's baseline in the reverse pair. So each fit is
-scored on the test splits of both domains of its pair, and the reports are
-kept on its first source (``Domain.reports``) for later strategies with the
-same sources and settings.
+behind A's B->A is also B's baseline in the reverse direction. So each fit
+is scored on the test splits of both domains of its pair, and ``run_pair``
+keeps those reports for one call, which gives both directions' B->A
+(C, L) points from the fits of the forward direction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -41,15 +41,12 @@ FEATURE_MODES = ("union", "top5")
 
 @dataclass(eq=False)
 class Domain:
-    """A named dataset split; a domain is equal only to itself, so the
-    reports it caches are keyed by the domain objects they came from."""
+    """A named dataset split; a domain is equal only to itself, so a
+    ``run_pair`` keys the reports it shares by the domain objects."""
     name: str
     split: DatasetSplit
     avg_matched_trades: float
     selection: Optional[SelectionResult] = None
-    # (target, (other sources, fit settings)) -> test report, see run_strategy
-    reports: Dict[tuple, MetricReport] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
 
 def domain_from_split(name: str, split: DatasetSplit) -> Domain:
@@ -134,17 +131,21 @@ def run_strategy(strategy: str, A: Domain, B: Domain, family: str,
                  alpha_grid: AlphaGrid = None,
                  solver_cfg: Optional[SolverConfig] = None,
                  baseline_aql: Optional[float] = None,
-                 feature_mode: str = "union") -> TransferReport:
+                 feature_mode: str = "union",
+                 memo: Optional[dict] = None) -> TransferReport:
     """One (strategy, seed) experiment testing on A's test split.
 
     The strategy names its source domains: {A}, {B} or {A, B}. The features
     are the union of the sources' feature sets, and the model trains and
-    tunes on the sources' stacked train and validation rows. A fit is made
-    once per sources and settings (see the module docstring).
+    tunes on the sources' stacked train and validation rows.
 
     ``baseline_aql`` supplies AQL(A->A) for the loss ratio; when omitted for
     a non-baseline strategy, the ratio is left unset. The A->A strategy has
     loss ratio 1 by construction.
+
+    ``memo`` maps (target, sources, seed) to a test report, for calls that
+    share every other argument (see ``run_pair``); a miss fits the sources
+    and scores the fit on the test splits of both A and B.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
@@ -160,18 +161,14 @@ def run_strategy(strategy: str, A: Domain, B: Domain, family: str,
         return (np.vstack([X for X, _ in parts]),
                 np.concatenate([y for _, y in parts]))
 
-    # the names stand for feature_mode and the sources' selections; repr
-    # keys the space and config, which are unhashable, by value
-    key = (tuple(sources[1:]), tuple(names), seed, family, budget,
-           tuple(quantiles), repr(space), repr(base_config))
-    cache = sources[0].reports
-    if (A, key) not in cache:
+    memo = {} if memo is None else memo
+    if (A, sources, seed) not in memo:
         result = run_experiment(names, stacked("train"), stacked("val"),
                                 family, budget, seed, quantiles, space, base_config)
         for target in (A, B):
-            cache[target, key] = score(result.model, result.prep,
-                                       target.split.test, quantiles)
-    report = cache[A, key]
+            memo[target, sources, seed] = score(result.model, result.prep,
+                                                target.split.test, quantiles)
+    report = memo[A, sources, seed]
     if strategy == "A->A":
         ratio = 1.0
     else:
@@ -199,6 +196,8 @@ class PairResult:
     reports: Dict[str, List[TransferReport]] = field(default_factory=dict)
     summary: Dict[str, dict] = field(default_factory=dict)
     loss_ratio: Dict[str, float] = field(default_factory=dict)
+    # the B->A (C, L) point testing on the target, then on the source
+    points: List[dict] = field(default_factory=list)
 
 
 def run_pair(A: Domain, B: Domain, family: str, budget: int,
@@ -209,61 +208,46 @@ def run_pair(A: Domain, B: Domain, family: str, budget: int,
              alpha_grid: AlphaGrid = None,
              solver_cfg: Optional[SolverConfig] = None,
              feature_mode: str = "union") -> PairResult:
-    """All strategies over repeated seeds for one (target, source) pair.
+    """The strategies over repeated seeds for one (target, source) pair, and
+    the B->A (C, L) point of both directions.
 
-    Loss ratios divide mean AQL over seeds by the A->A mean. An unknown
-    strategy name raises ValueError.
+    A run's loss ratio divides its AQL by the same seed's A->A AQL, and a
+    strategy's its mean AQL over seeds by the A->A mean. A->A and B->A
+    always run, but B->A is listed only when asked for. The reverse
+    direction reuses the forward fits. An unknown strategy name raises
+    ValueError.
     """
     ordered = check_strategies(strategies)
     result = PairResult(target=A.name, source=B.name,
                         trade_count_ratio=trade_count_ratio(A, B))
-    if "A->A" not in ordered:
-        ordered = ["A->A"] + ordered  # the baseline anchors every ratio
-    for strategy in ordered:
-        result.reports[strategy] = [
-            run_strategy(strategy, A, B, family, budget, seed, quantiles,
-                         space, base_config, alpha_grid, solver_cfg,
-                         feature_mode=feature_mode)
-            for seed in seeds
-        ]
-        result.summary[strategy] = summarize_runs(
-            [r.metrics for r in result.reports[strategy]])
-    base_mean = result.summary["A->A"]["aql"]["mean"]
-    for strategy in ordered:
-        mean_aql = result.summary[strategy]["aql"]["mean"]
-        result.loss_ratio[strategy] = (1.0 if strategy == "A->A"
-                                       else mean_aql / base_mean)
+    memo = {}
+
+    def direction(target, source, names):
+        reports = {}
+        for strategy in names:
+            base = reports.get("A->A", [None] * len(seeds))
+            reports[strategy] = [
+                run_strategy(strategy, target, source, family, budget, seed,
+                             quantiles, space, base_config, alpha_grid, solver_cfg,
+                             baseline_aql=None if b is None else b.metrics.aql,
+                             feature_mode=feature_mode, memo=memo)
+                for seed, b in zip(seeds, base)]
+        summary = {s: summarize_runs([r.metrics for r in runs])
+                   for s, runs in reports.items()}
+        base_mean = summary["A->A"]["aql"]["mean"]
+        ratio = {s: 1.0 if s == "A->A" else summary[s]["aql"]["mean"] / base_mean
+                 for s in summary}
+        return reports, summary, ratio
+
+    reports, summary, ratio = direction(A, B, ["A->A", "B->A"] + [
+        s for s in ordered if s == "A+B->A"])
+    for s in reports:
+        if s in ordered or s == "A->A":
+            result.reports[s], result.summary[s] = reports[s], summary[s]
+            result.loss_ratio[s] = ratio[s]
+    reverse = direction(B, A, ("A->A", "B->A"))[2]
+    result.points = [{"target": t.name, "source": src.name,
+                      "trade_count_ratio": trade_count_ratio(t, src),
+                      "loss_ratio": r["B->A"]}
+                     for t, src, r in ((A, B, ratio), (B, A, reverse))]
     return result
-
-
-def sweep_point(pair: PairResult) -> dict:
-    """The (C, L) point of a pair's B->A strategy, for plotting."""
-    return {
-        "target": pair.target,
-        "source": pair.source,
-        "trade_count_ratio": pair.trade_count_ratio,
-        "loss_ratio": pair.loss_ratio["B->A"],
-    }
-
-
-def asymmetry_sweep(pairs: Sequence[Tuple[Domain, Domain]], family: str,
-                    budget: int, seeds: Sequence[int], quantiles,
-                    space: Optional[SearchSpace] = None,
-                    base_config: Optional[Config] = None,
-                    alpha_grid: AlphaGrid = None,
-                    solver_cfg: Optional[SolverConfig] = None,
-                    feature_mode: str = "union") -> List[dict]:
-    """(C, L) points for each ordered (target, source) pair, for plotting.
-
-    Each pair is one B->A ``run_pair`` with its own A->A baseline. A fit
-    depends only on its sources, so the reverse pair's two strategies reuse
-    the forward pair's fits: two ordered pairs of two domains fit twice per
-    seed, not four times.
-    """
-    if len(pairs) < 2:
-        raise ValueError("asymmetry sweep needs at least two ordered pairs")
-    return [sweep_point(run_pair(A, B, family, budget, seeds, quantiles,
-                                 strategies=("B->A",), space=space,
-                                 base_config=base_config, alpha_grid=alpha_grid,
-                                 solver_cfg=solver_cfg, feature_mode=feature_mode))
-            for A, B in pairs]

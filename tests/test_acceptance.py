@@ -26,9 +26,8 @@ from bookcast.search import ParamSpec, SearchSpace
 from bookcast.selection import (SolverConfig, default_alpha_grid, fit_l1_lqr,
                                 standardize)
 from bookcast.synth import SynthConfig, generate, make_domain_pair
-from bookcast.transfer import (asymmetry_sweep, domain_from_split,
-                               ensure_selection, run_strategy,
-                               trade_count_ratio)
+from bookcast.transfer import (domain_from_split, ensure_selection, run_pair,
+                               run_strategy, trade_count_ratio)
 from bookcast.util import UTC, pinball_quantile
 from conftest import T_D, T_F, mk_trade
 from oracles import brute_id3, brute_knn_quantiles, brute_stats, grid_search_l1_lqr
@@ -325,12 +324,11 @@ def test_criterion_11_asymmetric_generalization():
     # regularize 384 features, so the grid starts inside the sparse zone
     grid = np.logspace(np.log10(3e-2), 0, 6)
     solver = SolverConfig(max_iter=3000)
-    points = asymmetry_sweep([(A, B), (B, A)], "qmlp", budget=10,
-                             seeds=[0, 1, 2], quantiles=Q3,
-                             space=QMLP_DESK_SPACE,
-                             base_config={"max_epochs": 60, "patience": 8},
-                             alpha_grid=grid, solver_cfg=solver,
-                             feature_mode="top5")
+    points = run_pair(A, B, "qmlp", budget=10, seeds=[0, 1, 2], quantiles=Q3,
+                      strategies=("B->A",), space=QMLP_DESK_SPACE,
+                      base_config={"max_epochs": 60, "patience": 8},
+                      alpha_grid=grid, solver_cfg=solver,
+                      feature_mode="top5").points
     by_c = {round(p["trade_count_ratio"], 3): p["loss_ratio"] for p in points}
     l_from_liquid = points[0]["loss_ratio"]   # C ~ 10
     l_from_sparse = points[1]["loss_ratio"]   # C ~ 0.1

@@ -1,7 +1,9 @@
 """The benchmark harness keeps working against the package: its self-test
-passes, and its tracer still finds every function it wraps."""
+passes, and its tracer still finds every function it wraps and sees the
+calls the CLI makes through them."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -24,11 +26,16 @@ def test_bench_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_tracer_wraps_every_site_and_restores_it():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer",
                                                   ROOT / "bench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_wraps_every_site_and_restores_it():
+    tracer = _load_tracer()
     # a site the package no longer has fails here, by name
     sites = [(name, ns, attr, tracer._get(ns, attr))
              for name, where in tracer.SITES.items() for ns, attr in where]
@@ -41,3 +48,34 @@ def test_tracer_wraps_every_site_and_restores_it():
         t.uninstall()
     for name, ns, attr, original in sites:
         assert tracer._get(ns, attr) is original, (name, attr)
+
+
+def test_tracer_sees_every_transfer_fit(tmp_path):
+    tracer = _load_tracer()
+    cfg = {
+        "workspace": str(tmp_path / "ws"),
+        "market": "DE", "product_type": "60min",
+        "horizon_start": "2024-03-01T00:00:00", "horizon_end": "2024-03-08T00:00:00",
+        "train_end": "2024-03-05T00:00:00", "val_end": "2024-03-06T00:00:00",
+        "test_end": "2024-03-08T00:00:00",
+        "synth": {"liquidity": 15.0, "session_hours": 8.0},
+        "selector": {"alpha_grid_size": 4, "max_iter": 200, "stages": 2},
+        "transfer": {"model_family": "qknn", "budget": 2, "seeds": [0],
+                     "strategies": ["A->A", "B->A", "A+B->A"],
+                     "domain_a": {"name": "A", "synth": {"liquidity": 10.0}},
+                     "domain_b": {"name": "B", "synth": {"liquidity": 25.0}}},
+    }
+    path = tmp_path / "config.yaml"
+    path.write_text(json.dumps(cfg))
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert tracer.cli.main(["transfer", "--config", str(path)]) == 0
+    finally:
+        t.uninstall()
+    names = [span[0] for span in t.spans]
+    # three strategies on A, then the reverse direction's two on B; the
+    # reverse pair reuses the forward fits of the sources {A} and {B}
+    assert names.count("transfer.run_strategy") == 5
+    assert t.counts["transfer.run_strategy_calls"] == 5
+    assert names.count("experiment.run_experiment") == 3

@@ -6,10 +6,11 @@ import pytest
 
 from bookcast import transfer
 from bookcast.features import FEATURE_NAMES
+from bookcast.search import ParamSpec, SearchSpace
 from bookcast.selection import SelectionResult
-from bookcast.transfer import (FEATURE_MODES, Domain, asymmetry_sweep,
-                               domain_feature_set, ensure_selection, run_pair,
-                               run_strategy, sweep_point, trade_count_ratio)
+from bookcast.transfer import (FEATURE_MODES, Domain, domain_feature_set,
+                               ensure_selection, run_pair, run_strategy,
+                               trade_count_ratio)
 from helpers import FAST_SOLVER, SMALL_GRID, tiny_domain
 
 Q3 = (0.1, 0.5, 0.9)
@@ -97,34 +98,33 @@ def test_run_pair_loss_ratios(dom_a, dom_b):
     base = result.summary["A->A"]["aql"]["mean"]
     transferred = result.summary["B->A"]["aql"]["mean"]
     assert result.loss_ratio["B->A"] == pytest.approx(transferred / base)
+    # each run's ratio is over the same seed's baseline
+    seed_base = {r.seed: r.metrics.aql for r in result.reports["A->A"]}
+    for strategy, runs in result.reports.items():
+        for r in runs:
+            assert r.loss_ratio == (1.0 if strategy == "A->A"
+                                    else r.metrics.aql / seed_base[r.seed]), (strategy, r.seed)
 
 
-def test_asymmetry_sweep_points(dom_a, dom_b):
-    points = asymmetry_sweep([(dom_a, dom_b), (dom_b, dom_a)], "qknn", 2, [0],
-                             Q3, alpha_grid=SMALL_GRID, solver_cfg=FAST_SOLVER)
-    assert len(points) == 2
-    c_ab = points[0]["trade_count_ratio"]
-    c_ba = points[1]["trade_count_ratio"]
-    assert c_ab * c_ba == pytest.approx(1.0, rel=1e-12)
-    assert all(p["loss_ratio"] > 0 for p in points)
-    with pytest.raises(ValueError):
-        asymmetry_sweep([(dom_a, dom_b)], "qknn", 2, [0], Q3)
-
-
-def test_sweep_point_reproduces_asymmetry_sweep(dom_a, dom_b):
+def test_run_pair_points_both_directions(dom_a, dom_b):
     kw = dict(alpha_grid=SMALL_GRID, solver_cfg=FAST_SOLVER)
-    points = asymmetry_sweep([(dom_a, dom_b), (dom_b, dom_a)], "qknn", 2,
-                             [0, 1], Q3, **kw)
-    forward = run_pair(dom_a, dom_b, "qknn", 2, [0, 1], Q3, **kw)
-    backward = run_pair(dom_b, dom_a, "qknn", 2, [0, 1], Q3,
-                        strategies=("B->A",), **kw)
-    assert [sweep_point(forward), sweep_point(backward)] == points
+    pair = run_pair(dom_a, dom_b, "qknn", 2, [0, 1], Q3, strategies=("A->A",), **kw)
+    assert list(pair.loss_ratio) == ["A->A"]  # B->A runs for the points only
+    assert [(p["target"], p["source"]) for p in pair.points] == [("A", "B"), ("B", "A")]
+    c_ab, c_ba = (p["trade_count_ratio"] for p in pair.points)
+    assert c_ab * c_ba == pytest.approx(1.0, rel=1e-12)
+    assert c_ab == pair.trade_count_ratio
+    assert all(p["loss_ratio"] > 0 for p in pair.points)
+    # the reverse point is the B->A of a pair run testing on B
+    backward = run_pair(dom_b, dom_a, "qknn", 2, [0, 1], Q3, strategies=("B->A",), **kw)
+    assert pair.points[1] == {"target": "B", "source": "A",
+                              "trade_count_ratio": backward.trade_count_ratio,
+                              "loss_ratio": backward.loss_ratio["B->A"]}
 
 
-def test_two_pair_sweep_fits_each_source_once_per_seed(monkeypatch):
-    # (A, B) fits sources {A} and {B}; (B, A) reuses both fits
-    A = tiny_domain("A", seed=1, liquidity=15.0)
-    B = tiny_domain("B", seed=2, liquidity=30.0)
+def test_run_pair_fits_each_source_once_per_seed(dom_a, dom_b, monkeypatch):
+    # the forward A->A and B->A fit sources {A} and {B}; the reverse
+    # direction's A->A and B->A reuse both fits
     calls = []
     run_experiment = transfer.run_experiment
 
@@ -133,11 +133,25 @@ def test_two_pair_sweep_fits_each_source_once_per_seed(monkeypatch):
         return run_experiment(*args, **kwargs)
 
     monkeypatch.setattr(transfer, "run_experiment", counting)
-    asymmetry_sweep([(A, B), (B, A)], "qknn", 2, [0, 1], Q3,
-                    alpha_grid=SMALL_GRID, solver_cfg=FAST_SOLVER)
+    run_pair(dom_a, dom_b, "qknn", 2, [0, 1], Q3, strategies=("B->A",),
+             alpha_grid=SMALL_GRID, solver_cfg=FAST_SOLVER)
     assert sorted(calls) == [0, 0, 1, 1]
-    # a copy starts with no reports of its own
-    assert A.reports and not dataclasses.replace(A).reports
+
+
+def test_run_pair_shares_no_fits_between_calls(dom_a, dom_b):
+    # the space leaves n_neighbors to the base config, so the two configs
+    # fit different models on the same domain objects; the fresh copies
+    # share only their selections
+    kw = dict(space=SearchSpace({"metric": ParamSpec("cat", choices=("euclidean",))}),
+              alpha_grid=SMALL_GRID, solver_cfg=FAST_SOLVER)
+    first = run_pair(dom_a, dom_b, "qknn", 1, [0], Q3, base_config={"n_neighbors": 3}, **kw)
+    again = run_pair(dom_a, dom_b, "qknn", 1, [0], Q3, base_config={"n_neighbors": 12}, **kw)
+    fresh = run_pair(dataclasses.replace(dom_a), dataclasses.replace(dom_b),
+                     "qknn", 1, [0], Q3, base_config={"n_neighbors": 12}, **kw)
+    assert again.summary != first.summary
+    assert again.summary == fresh.summary
+    assert again.loss_ratio == fresh.loss_ratio
+    assert again.points == fresh.points
 
 
 def test_ensure_selection_refuses_other_quantiles(dom_a):
