@@ -13,8 +13,9 @@ content. ``workspace`` and ``jobs`` key nothing. A command that needs a
 missing upstream output makes it first. Every selection, the main split's
 or a transfer domain's under its own key, is fitted by ``_fit_selection``
 (which names an uncertified fit and exits 1 on an empty union) and read
-back from its ``selection.json``. Exit codes: 0 success, 1 runtime
-failure, 2 config error.
+back from its ``selection.json``. Samples load from the ``.npy`` sidecar beside
+the canonical ``features.csv`` while its SHA-256 matches, else from the CSV.
+Exit codes: 0 success, 1 runtime failure, 2 config error.
 """
 
 from __future__ import annotations
@@ -363,6 +364,7 @@ def cmd_extract(run: Run) -> Path:
     out = run.dir("features") / "features.csv"
     with open(out, "w", newline="", encoding="utf-8") as fh:
         market.write_samples_csv(samples, fh, extra=run.meta("features"))
+    market.write_samples_sidecar(samples, out)
     run.write_json("features", "drop_report.json", dataclasses.asdict(report))
     log.info("extracted %d samples (%d discarded) to %s",
              report.n_built, report.n_discarded_features, out)
@@ -371,8 +373,7 @@ def cmd_extract(run: Run) -> Path:
 
 def _split(run: Run) -> market.DatasetSplit:
     path = _output(run, "features", "features.csv", cmd_extract)
-    with open(path, newline="", encoding="utf-8") as fh:
-        return split_dataset(market.read_samples_csv(fh), run.boundaries)
+    return split_dataset(market.load_samples(path), run.boundaries)
 
 
 def _fit_selection(run: Run, domain: Domain) -> Path:

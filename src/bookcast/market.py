@@ -11,7 +11,11 @@ a time, so their memory is bounded by the block and not by the file.
 Writers emit the bytes ``csv.writer`` would emit for ``format_timestamp``
 and ``repr`` fields. Readers parse a block of plain canonical lines column
 by column and hand any other block to a per-row parse that reports the
-first bad line and field; both give the same values.
+first bad line and field; both give the same values. ``features.csv`` stays
+the canonical file, the one to edit or ship; ``write_samples_sidecar`` also
+stores its parsed columns as ``features.<column>.npy`` and, last, its SHA-256
+as ``features.sha256.npy``, which ``load_samples`` reads while that hash
+matches the file, parsing the CSV otherwise.
 """
 
 from __future__ import annotations
@@ -24,14 +28,15 @@ import logging
 import math
 from collections import abc
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import features as feat
 from .target import LEAD_TIME, compute_id3
-from .util import (UTC, format_micros, format_timestamp, from_micros, parse_micros,
-                   parse_timestamp, to_micros)
+from .util import (UTC, file_sha256, format_micros, format_timestamp, from_micros,
+                   parse_micros, parse_timestamp, to_micros)
 
 log = logging.getLogger(__name__)
 
@@ -537,7 +542,8 @@ def write_samples_csv(samples: Sequence[Sample], fh, extra: Optional[dict] = Non
     bytes are those of ``csv.writer`` given ``format_timestamp`` of the
     times, ``repr`` of the target and of each feature as a float, and
     ``str`` of the count and of each extra value. The features are
-    formatted as one column per block of rows.
+    formatted as one column per block of rows, each distinct float of a
+    block once.
     """
     extra = extra or {}
     writer = csv.writer(fh)
@@ -554,8 +560,10 @@ def write_samples_csv(samples: Sequence[Sample], fh, extra: Optional[dict] = Non
             if len(s.features) != n_features:
                 raise ValueError(f"sample at {format_timestamp(s.delivery_time)} has "
                                  f"{len(s.features)} features, expected {n_features}")
-        values = list(map(repr, np.array([s.features for s in block], dtype=np.float64)
-                          .ravel().tolist()))
+        bits, index = np.unique(np.array([s.features for s in block], dtype=np.float64)
+                                .view(np.uint64), return_inverse=True)
+        values = np.array(list(map(repr, bits.view(np.float64).tolist())),
+                          dtype=object)[index.ravel()].tolist()
         fh.write("".join(
             f"{format_timestamp(s.delivery_time)},{format_timestamp(s.forecast_time)},"
             f"{'' if s.target_id3 is None else repr(s.target_id3)},"
@@ -631,3 +639,37 @@ def _parse_sample(line: int, row: List[str], features: Optional[np.ndarray]) -> 
         features = np.array([parse(name, float, raw) for name, raw in
                              zip(feat.FEATURE_NAMES, row[len(SAMPLE_CSV_FIXED):])])
     return Sample(t_d, t_f, features, target, count)
+
+
+_SIDECAR = ("t_d", "t_f", "features", "target_id3", "has_target", "matched_trade_count")
+
+
+def write_samples_sidecar(samples: Sequence[Sample], path: Path) -> None:
+    """Store beside the CSV at ``path``, written from ``samples``, the values
+    ``read_samples_csv`` gives for it (each NaN as the CSV's ``nan`` parses),
+    then its SHA-256; the old hash goes first, so a cut write leaves none."""
+    path.with_suffix(".sha256.npy").unlink(missing_ok=True)
+    columns = ([to_micros(s.delivery_time) for s in samples],
+               [to_micros(s.forecast_time) for s in samples],
+               np.array([s.features for s in samples], dtype=np.float64),
+               [np.nan if s.target_id3 is None else s.target_id3 for s in samples],
+               [s.target_id3 is not None for s in samples],
+               [s.matched_trade_count for s in samples])
+    for name, values in zip(_SIDECAR, map(np.asarray, columns)):
+        if values.dtype.kind == "f":
+            values = np.where(np.isnan(values), np.nan, values)
+        np.save(path.with_suffix(f".{name}.npy"), values, allow_pickle=False)
+    np.save(path.with_suffix(".sha256.npy"), np.array(file_sha256(path)), allow_pickle=False)
+
+
+def load_samples(path: Path) -> List[Sample]:
+    """The samples of the ``features.csv`` at ``path``: its sidecar's while
+    that holds the file's SHA-256, else ``read_samples_csv``'s."""
+    stored = path.with_suffix(".sha256.npy")
+    if stored.exists() and np.load(stored).item() == file_sha256(path):
+        t_d, t_f, x, y, has, n = (np.load(path.with_suffix(f".{c}.npy")) for c in _SIDECAR)
+        return [Sample(from_micros(d), from_micros(f), row, t if h else None, c)
+                for d, f, row, t, h, c in zip(t_d.tolist(), t_f.tolist(), x, y.tolist(),
+                                              has.tolist(), n.tolist())]
+    with open(path, newline="", encoding="utf-8") as fh:
+        return read_samples_csv(fh)

@@ -14,10 +14,10 @@ over repeated seeds); the trade-count ratio divides the source's average
 matched-trade count by the target's.
 
 A model depends only on its sources, never on the target: the (B, seed) fit
-behind A's B->A is also B's baseline in the reverse direction. So each fit
-is scored on the test splits of both domains of its pair, and ``run_pair``
-keeps those reports for one call, which gives both directions' B->A
-(C, L) points from the fits of the forward direction.
+behind A's B->A is also B's baseline in the reverse direction. So within
+``run_pair`` each single-source fit is scored on the test splits of both
+domains of its pair, and those reports, kept for one call, give both
+directions' B->A (C, L) points from the fits of the forward direction.
 """
 
 from __future__ import annotations
@@ -145,7 +145,8 @@ def run_strategy(strategy: str, A: Domain, B: Domain, family: str,
 
     ``memo`` maps (target, sources, seed) to a test report, for calls that
     share every other argument (see ``run_pair``); a miss fits the sources
-    and scores the fit on the test splits of both A and B.
+    and scores the fit on A's test split, and also on B's when the fit has
+    a single source, whose score a reverse direction reads.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
@@ -161,11 +162,12 @@ def run_strategy(strategy: str, A: Domain, B: Domain, family: str,
         return (np.vstack([X for X, _ in parts]),
                 np.concatenate([y for _, y in parts]))
 
+    targets = (A, B) if memo is not None and len(sources) == 1 else (A,)
     memo = {} if memo is None else memo
     if (A, sources, seed) not in memo:
         result = run_experiment(names, stacked("train"), stacked("val"),
                                 family, budget, seed, quantiles, space, base_config)
-        for target in (A, B):
+        for target in targets:
             memo[target, sources, seed] = score(result.model, result.prep,
                                                 target.split.test, quantiles)
     report = memo[A, sources, seed]

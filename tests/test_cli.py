@@ -129,6 +129,9 @@ def test_evaluate_without_checkpoint_exits_2(tmp_path):
 
 
 def test_evaluate_reads_features_once(tmp_path, monkeypatch):
+    # evaluate loads the samples extract stored beside features.csv; the CSV
+    # is parsed once when that sidecar lacks its hash, and an edited CSV is
+    # read as edited
     cfg = write_cfg(tmp_path, seeds=[0, 1])
     assert run_cli("train", "--config", str(cfg)) == 0
     calls = []
@@ -140,7 +143,22 @@ def test_evaluate_reads_features_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(market, "read_samples_csv", counting_read)
     assert run_cli("evaluate", "--config", str(cfg)) == 0
+    assert len(calls) == 0
+    feat_dir = _hash_dir(tmp_path / "ws", "features")
+    (feat_dir / "features.sha256.npy").unlink()
+    assert run_cli("evaluate", "--config", str(cfg)) == 0
     assert len(calls) == 1
+
+    run = Run(load_config(str(cfg), {}))
+    assert run_cli("extract", "--config", str(cfg)) == 0
+    path = feat_dir / "features.csv"
+    lines = path.read_bytes().decode("utf-8").split("\r\n")
+    fields = lines[1].split(",")
+    fields[4] = repr(float(fields[4]) + 1.0)
+    lines[1] = ",".join(fields)
+    path.write_bytes("\r\n".join(lines).encode("utf-8"))
+    first = min(cli._split(run).train, key=lambda s: s.delivery_time)
+    assert first.features[0] == float(fields[4])
 
 
 def test_unknown_config_field_exits_2(tmp_path):

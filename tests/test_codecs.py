@@ -1,9 +1,11 @@
 """The columnar trade and sample CSV codecs against the per-row references
 in ``oracles``: the same bytes written, the same values, rejected rows and
-errors read, on any block size."""
+errors read, on any block size. The samples' ``.npy`` sidecar loads the
+values the CSV reader gives."""
 
 import contextlib
 import csv
+import dataclasses
 import datetime as dt
 import io
 import tracemalloc
@@ -16,8 +18,9 @@ from hypothesis import strategies as st
 
 from bookcast import market
 from bookcast.features import FEATURE_NAMES
-from bookcast.market import (ProductSpec, Sample, TradeTable, parse_trades,
-                             read_samples_csv, write_samples_csv, write_trades_csv)
+from bookcast.market import (ProductSpec, Sample, TradeTable, load_samples, parse_trades,
+                             read_samples_csv, write_samples_csv, write_samples_sidecar,
+                             write_trades_csv)
 from bookcast.synth import SynthConfig, generate
 from bookcast.util import (UTC, format_micros, format_timestamp, from_micros,
                            parse_micros, parse_timestamp, to_micros)
@@ -218,16 +221,23 @@ def _edge_samples(n, rng):
     return samples
 
 
-@pytest.mark.parametrize("extra", [
-    None, {},
-    {"config_hash": "0d92db74c005", "tool_version": "0.1.0"},
-    {"note": 'a,b "c"\nd', "n": 3},
-    {"empty": ""},
-    {"cr": "x\ry", "x": 1.5},
-])
-@pytest.mark.parametrize("rows", [200, 4096])
-def test_sample_codecs_match_the_reference(extra, rows):
-    samples = _edge_samples(9, np.random.default_rng(7))
+# NaN with the default payload, another payload and the sign bit, and infinities
+NON_FINITE = np.array([0x7FF8000000000000, 0x7FF0000000000001, 0xFFF8000000000123,
+                       0x7FF0000000000000, 0xFFF0000000000000], dtype=np.uint64).view(np.float64)
+
+
+def _non_finite_samples(n, rng):
+    samples = _edge_samples(n, rng)
+    for i, s in enumerate(samples):
+        s.features[rng.integers(0, len(FEATURE_NAMES), size=40)] = rng.choice(NON_FINITE, size=40)
+        if i % 4 == 2:
+            samples[i] = dataclasses.replace(s, target_id3=float(NON_FINITE[i % 5]))
+    return samples
+
+
+def _check_sample_codecs(samples, extra, rows, tmp_path):
+    """Both codecs against the reference, and the sidecar of the written
+    file against the CSV reader."""
     expected = io.StringIO()
     reference_write_samples_csv(samples, expected, extra=extra)
     got = io.StringIO()
@@ -238,11 +248,39 @@ def test_sample_codecs_match_the_reference(extra, rows):
             read = read_samples_csv(io.StringIO(got.getvalue(), newline=newline))
             reference = reference_read_samples_csv(io.StringIO(got.getvalue(), newline=newline))
             assert len(read) == len(reference) == len(samples)
-            for a, b in zip(read, reference):
-                assert (a.delivery_time, a.forecast_time, a.matched_trade_count) == \
-                    (b.delivery_time, b.forecast_time, b.matched_trade_count)
-                assert repr(a.target_id3) == repr(b.target_id3)
-                assert a.features.tobytes() == b.features.tobytes()
+            _assert_same_samples(read, reference)
+    path = tmp_path / "features.csv"
+    path.write_text(got.getvalue(), newline="", encoding="utf-8")
+    write_samples_sidecar(samples, path)
+    _assert_same_samples(load_samples(path), read)
+
+
+def _assert_same_samples(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert (a.delivery_time, a.forecast_time, a.matched_trade_count) == \
+            (b.delivery_time, b.forecast_time, b.matched_trade_count)
+        assert repr(a.target_id3) == repr(b.target_id3)
+        assert a.features.tobytes() == b.features.tobytes()
+
+
+@pytest.mark.parametrize("extra", [
+    None, {},
+    {"config_hash": "0d92db74c005", "tool_version": "0.1.0"},
+    {"note": 'a,b "c"\nd', "n": 3},
+    {"empty": ""},
+    {"cr": "x\ry", "x": 1.5},
+])
+@pytest.mark.parametrize("rows", [200, 4096])
+def test_sample_codecs_match_the_reference(extra, rows, tmp_path):
+    _check_sample_codecs(_edge_samples(9, np.random.default_rng(7)), extra, rows, tmp_path)
+
+
+@pytest.mark.parametrize("rows", [200, 4096])
+def test_sample_codecs_match_the_reference_on_non_finite_values(rows, tmp_path):
+    samples = _non_finite_samples(9, np.random.default_rng(11))
+    assert any(s.target_id3 is not None and np.isnan(s.target_id3) for s in samples)
+    _check_sample_codecs(samples, {"config_hash": "0d92db74c005"}, rows, tmp_path)
 
 
 def test_parse_trades_peak_memory_is_bounded_by_the_block(tmp_path):

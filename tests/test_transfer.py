@@ -138,6 +138,26 @@ def test_run_pair_fits_each_source_once_per_seed(dom_a, dom_b, monkeypatch):
     assert sorted(calls) == [0, 0, 1, 1]
 
 
+def test_fits_are_scored_only_where_a_score_is_read(dom_a, dom_b, monkeypatch):
+    # run_pair scores the fits of {A} and {B} on both test splits, for the
+    # reverse direction, and the {A, B} fit on A's alone; a standalone
+    # run_strategy has no reverse direction and scores on A only
+    calls = []
+    score = transfer.score
+
+    def counting(model, prep, samples, quantiles):
+        calls.append(samples)
+        return score(model, prep, samples, quantiles)
+
+    monkeypatch.setattr(transfer, "score", counting)
+    run_pair(dom_a, dom_b, "qknn", 2, [0], Q3, alpha_grid=SMALL_GRID,
+             solver_cfg=FAST_SOLVER)
+    assert len(calls) == 5
+    calls.clear()
+    run_strategy("B->A", dom_a, dom_b, **FAST)
+    assert len(calls) == 1 and calls[0] is dom_a.split.test
+
+
 def test_run_pair_shares_no_fits_between_calls(dom_a, dom_b):
     # the space leaves n_neighbors to the base config, so the two configs
     # fit different models on the same domain objects; the fresh copies
