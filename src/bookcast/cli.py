@@ -13,8 +13,8 @@ content. ``workspace`` and ``jobs`` key nothing. A command that needs a
 missing upstream output makes it first. Every selection, the main split's
 or a transfer domain's under its own key, is fitted by ``_fit_selection``
 (which names an uncertified fit and exits 1 on an empty union) and read
-back from its ``selection.json``. Samples load from the ``.npy`` sidecar beside
-the canonical ``features.csv`` while its SHA-256 matches, else from the CSV.
+back from its ``selection.json``. Samples cross commands through
+``market.save_samples`` and ``market.load_samples``.
 Exit codes: 0 success, 1 runtime failure, 2 config error.
 """
 
@@ -47,7 +47,7 @@ from .selection import (SOLVER_FIELDS, SelectionResult, SolverConfig,
 from .target import LEAD_TIME
 from .transfer import (FEATURE_MODES, STRATEGIES, Domain, check_strategies,
                        domain_from_split, ensure_selection, run_pair)
-from .util import UTC, config_hash, file_sha256, parse_timestamp
+from .util import UTC, config_hash, file_sha256, parse_timestamp, replacing
 
 log = logging.getLogger("bookcast")
 
@@ -341,7 +341,7 @@ def _output(run: Run, area: str, name: str, make) -> Path:
 def cmd_synth(run: Run) -> Path:
     out = run.dir("synth") / "trades.csv"
     data = synth.generate(run.synth_cfg, run.spec, run.start, run.end)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
+    with replacing(out) as fh:
         market.write_trades_csv(data.trades, fh)
     # the canonical trade format has a fixed header, so provenance lives beside it
     run.write_json("synth", "meta.json", {"n_trades": len(data.trades)})
@@ -362,9 +362,7 @@ def cmd_extract(run: Run) -> Path:
     trades = _load_trades(run)
     samples, report = market.build_samples(trades, run.spec, run.start, run.end)
     out = run.dir("features") / "features.csv"
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        market.write_samples_csv(samples, fh, extra=run.meta("features"))
-    market.write_samples_sidecar(samples, out)
+    market.save_samples(samples, out, run.meta("features"))
     run.write_json("features", "drop_report.json", dataclasses.asdict(report))
     log.info("extracted %d samples (%d discarded) to %s",
              report.n_built, report.n_discarded_features, out)

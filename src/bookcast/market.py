@@ -6,16 +6,16 @@ All timestamps are UTC internally. The canonical trade CSV schema is
 DST special-casing.
 
 Trades (``trades.csv``) and samples (``features.csv``) cross the disk as
-CSV. The four codecs work on whole columns, a fixed-size block of rows at
-a time, so their memory is bounded by the block and not by the file.
-Writers emit the bytes ``csv.writer`` would emit for ``format_timestamp``
-and ``repr`` fields. Readers parse a block of plain canonical lines column
-by column and hand any other block to a per-row parse that reports the
-first bad line and field; both give the same values. ``features.csv`` stays
-the canonical file, the one to edit or ship; ``write_samples_sidecar`` also
-stores its parsed columns as ``features.<column>.npy`` and, last, its SHA-256
-as ``features.sha256.npy``, which ``load_samples`` reads while that hash
-matches the file, parsing the CSV otherwise.
+CSV. Writers emit the bytes ``csv.writer`` would emit for
+``format_timestamp`` and ``repr`` fields, a fixed-size block of rows at a
+time. The trade reader parses a block of plain canonical lines column by
+column and hands any other block to a per-row parse that reports the first
+bad line and field; both give the same values. The sample reader parses one
+record at a time. ``save_samples`` is the one writer of ``features.csv``,
+the canonical file, the one to edit or ship: it writes the CSV whole or not
+at all, then its parsed columns as ``features.<column>.npy`` and, last, its
+SHA-256 as ``features.sha256.npy``, which ``load_samples`` reads while that
+hash matches the file, parsing the CSV otherwise.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from . import features as feat
 from .target import LEAD_TIME, compute_id3
 from .util import (UTC, file_sha256, format_micros, format_timestamp, from_micros,
-                   parse_micros, parse_timestamp, to_micros)
+                   parse_micros, parse_timestamp, replacing, to_micros)
 
 log = logging.getLogger(__name__)
 
@@ -244,10 +244,10 @@ class DatasetSplit:
     boundaries: Optional[SplitBoundaries] = None
 
 
-# fields per block of the CSV codecs (1,024 trade rows, 13 sample rows): a
-# block's text, field strings and columns are made and dropped together, so
-# memory stays bounded by the block and not by the file. Larger blocks are
-# no faster and leave more of the heap in use after a parse.
+# fields per block of the trade codecs and the sample writer (1,024 trade
+# rows, 13 sample rows): a block's text, fields and columns are made and
+# dropped together, so memory stays bounded by the block, not the file.
+# Larger blocks are no faster and leave more of the heap in use after a parse.
 BLOCK_FIELDS = 5 << 10
 
 
@@ -268,19 +268,19 @@ def _parse_field(error, lineno: int, name: str, parse, raw: str):
         raise error(lineno, str(exc), name) from None
 
 
-def _parse_blocks(lines: Iterator[str], n_fields: int, fast, slow) -> Iterator:
-    """Parse the CSV records of ``n_fields`` fields after the header, a block
-    of lines at a time.
+def _parse_blocks(lines: Iterator[str], tz: dt.tzinfo) -> Iterator:
+    """Parse the trade records after the header, a block of lines at a time.
 
     A line is plain when, without its line end, it holds no quote, no
     carriage return and no more than ``csv.field_size_limit()`` characters:
     ``csv.reader`` then splits it at each comma. When every line of a block
-    is plain and has ``n_fields`` fields or none, ``fast(lines,
-    line_numbers)`` gets the non-blank ones. It returns None for a block it
-    does not take, and ``slow(records, lineno)`` gets the block's records
-    from ``csv.reader`` instead, read on into ``lines`` while a quoted field
-    spans lines. Line numbers count records from 2, blank ones included.
+    is plain and has five fields or none, ``_trade_lines`` gets the
+    non-blank ones. When it returns None, ``_trade_records`` gets the
+    block's records from ``csv.reader`` instead, read on into ``lines``
+    while a quoted field spans lines. Line numbers count records from 2,
+    blank ones included.
     """
+    n_fields = len(TRADE_CSV_HEADER)
     lineno = 2
     for block in _blocks(lines, _block_rows(n_fields)):
         parsed = None
@@ -292,8 +292,8 @@ def _parse_blocks(lines: Iterator[str], n_fields: int, fast, slow) -> Iterator:
             commas = np.fromiter(map(str.count, plain, itertools.repeat(",")),
                                  dtype=np.int64, count=len(plain))
             if ((commas == n_fields - 1) | ~filled).all():
-                parsed = fast(list(itertools.compress(plain, filled)),
-                              np.flatnonzero(filled) + lineno)
+                parsed = _trade_lines(list(itertools.compress(plain, filled)),
+                                      np.flatnonzero(filled) + lineno)
         n_records = len(block)
         if parsed is None:
             reader = csv.reader(itertools.chain(block, lines))
@@ -302,7 +302,7 @@ def _parse_blocks(lines: Iterator[str], n_fields: int, fast, slow) -> Iterator:
                 records.append(row)
                 if reader.line_num >= len(block):
                     break
-            parsed = slow(records, lineno)
+            parsed = _trade_records(records, lineno, tz)
             n_records = len(records)
         yield parsed
         lineno += n_records
@@ -402,9 +402,7 @@ def parse_trades(source, tz: dt.tzinfo = UTC) -> Tuple[TradeTable, List[Rejected
         raise TradeParseError(1, f"bad header {header!r}, expected {TRADE_CSV_HEADER}")
     parts: List[List[np.ndarray]] = []
     rejected: List[RejectedRow] = []
-    for columns, block_rejected in _parse_blocks(
-            lines, len(TRADE_CSV_HEADER), _trade_lines,
-            lambda records, lineno: _trade_records(records, lineno, tz)):
+    for columns, block_rejected in _parse_blocks(lines, tz):
         parts.append(columns)
         rejected += block_rejected
     columns = [np.concatenate(c) for c in zip(*parts)] or [
@@ -578,55 +576,28 @@ def read_samples_csv(fh) -> List[Sample]:
     Columns after the canonical ones are ignored, and blank lines are
     skipped. A missing header, a row whose field count differs from the
     header's, or a value that does not parse raises SampleParseError naming
-    the line and the field. The features of a block of plain lines are
-    parsed at once with ``np.loadtxt``; any other block is parsed one
-    value at a time.
+    the line and the field.
     """
-    lines = iter(fh)
+    reader = csv.reader(fh)
     try:
-        header = next(csv.reader(lines))
+        header = next(reader)
     except StopIteration:
         raise SampleParseError(1, "empty input, expected header") from None
     expected = SAMPLE_CSV_FIXED + list(feat.FEATURE_NAMES)
     if header[: len(expected)] != expected:
         raise SampleParseError(1, "header does not match the canonical sample layout")
-    blocks = _parse_blocks(lines, len(header), _sample_lines,
-                           lambda records, lineno: _sample_records(records, lineno, len(header)))
-    return [s for block in blocks for s in block]
-
-
-_FEATURE_COLUMNS = range(len(SAMPLE_CSV_FIXED), len(SAMPLE_CSV_FIXED) + len(feat.FEATURE_NAMES))
-
-
-def _sample_lines(lines: List[str], line_no: np.ndarray) -> Optional[List[Sample]]:
-    """The samples of plain lines of the right field count; None when a
-    feature value does not parse, so that ``_sample_records`` names it."""
-    if not lines:
-        return []
-    try:  # accepts a subset of what float() accepts, with the same values
-        values = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None,
-                            usecols=_FEATURE_COLUMNS, ndmin=2)
-    except ValueError:
-        return None
-    return [_parse_sample(line, row.split(",", len(SAMPLE_CSV_FIXED)), features)
-            for line, row, features in zip(line_no.tolist(), lines, values)]
-
-
-def _sample_records(records: List[List[str]], lineno: int, n_fields: int) -> List[Sample]:
-    """The samples of ``csv.reader`` records, parsed one value at a time."""
-    out = []
-    for line, row in enumerate(records, lineno):
+    samples = []
+    for line, row in enumerate(reader, 2):
         if row:
-            if len(row) != n_fields:
-                raise SampleParseError(line, f"expected {n_fields} fields, got {len(row)}")
-            out.append(_parse_sample(line, row, None))
-    return out
+            if len(row) != len(header):
+                raise SampleParseError(line, f"expected {len(header)} fields, got {len(row)}")
+            samples.append(_parse_sample(line, row))
+    return samples
 
 
-def _parse_sample(line: int, row: List[str], features: Optional[np.ndarray]) -> Sample:
-    """A Sample from a record's fixed fields and its parsed features; the
-    features are parsed here from the record when not given. Raises
-    SampleParseError naming the first bad field."""
+def _parse_sample(line: int, row: List[str]) -> Sample:
+    """A Sample from a record; raises SampleParseError naming the first bad
+    field."""
 
     def parse(name, convert, raw):
         return _parse_field(SampleParseError, line, name, convert, raw)
@@ -635,20 +606,27 @@ def _parse_sample(line: int, row: List[str], features: Optional[np.ndarray]) -> 
     t_f = parse("t_f", parse_timestamp, row[1])
     target = parse("target_id3", float, row[2]) if row[2] else None
     count = parse("matched_trade_count", int, row[3])
-    if features is None:
-        features = np.array([parse(name, float, raw) for name, raw in
-                             zip(feat.FEATURE_NAMES, row[len(SAMPLE_CSV_FIXED):])])
+    values = row[len(SAMPLE_CSV_FIXED):len(SAMPLE_CSV_FIXED) + len(feat.FEATURE_NAMES)]
+    try:  # float() of each string, as the loop below applies it
+        features = np.array(values, dtype=np.float64)
+    except ValueError:
+        features = np.array([parse(name, float, raw)
+                             for name, raw in zip(feat.FEATURE_NAMES, values)])
     return Sample(t_d, t_f, features, target, count)
 
 
 _SIDECAR = ("t_d", "t_f", "features", "target_id3", "has_target", "matched_trade_count")
 
 
-def write_samples_sidecar(samples: Sequence[Sample], path: Path) -> None:
-    """Store beside the CSV at ``path``, written from ``samples``, the values
-    ``read_samples_csv`` gives for it (each NaN as the CSV's ``nan`` parses),
-    then its SHA-256; the old hash goes first, so a cut write leaves none."""
+def save_samples(samples: Sequence[Sample], path: Path, extra: Optional[dict]) -> None:
+    """Write ``samples`` as the ``features.csv`` at ``path`` (``extra`` as in
+    ``write_samples_csv``), whole or not at all. Then store beside it the
+    values ``read_samples_csv`` gives for it (each NaN as the CSV's ``nan``
+    parses) and, last, its SHA-256; the old hash goes first, so a cut write
+    leaves none."""
     path.with_suffix(".sha256.npy").unlink(missing_ok=True)
+    with replacing(path) as fh:
+        write_samples_csv(samples, fh, extra)
     columns = ([to_micros(s.delivery_time) for s in samples],
                [to_micros(s.forecast_time) for s in samples],
                np.array([s.features for s in samples], dtype=np.float64),

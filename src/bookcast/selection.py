@@ -313,10 +313,13 @@ def tune_alpha(train: Tuple[np.ndarray, np.ndarray],
     [ANCHORED_SPAN, 1] x alpha_max / n, so the top point is the empty fit,
     certified without a solve, and the rest reach down into the sparse
     range. Ties go to the larger (sparser) alpha. Returns (best_alpha,
-    fits) keyed by grid value.
+    fits) keyed by grid value; an empty validation set raises ValueError
+    before any fit.
     """
     X_tr, y_tr = train
     X_val, y_val = val
+    if len(y_val) == 0:
+        raise ValueError("the validation set is empty: no penalty can be tuned")
     n = len(y_tr)
     if alpha_grid is None or isinstance(alpha_grid, (int, np.integer)):
         k = DEFAULT_GRID_SIZE if alpha_grid is None else int(alpha_grid)

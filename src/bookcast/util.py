@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
 import hashlib
 import json
+import os
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -137,6 +139,19 @@ def file_sha256(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """A text file written as ``<name>.part`` and moved to ``path`` when whole;
+    removed if the block raises."""
+    part = path.with_name(path.name + ".part")
+    try:
+        with open(part, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(part, path)
+    finally:
+        part.unlink(missing_ok=True)
 
 
 def rng_for(*keys: int) -> np.random.Generator:

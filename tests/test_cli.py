@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from bookcast import cli, market, synth, transfer
+from bookcast import cli, market, selection, synth, transfer
 from bookcast.cli import (DEFAULT_CONFIG, STAGE_FIELDS, Run, _model_config,
                           load_config, main)
 from bookcast.features import FEATURE_NAMES
@@ -416,6 +417,57 @@ def test_select_on_an_empty_features_csv_exits_1_naming_line_1(tmp_path, capsys)
     assert run_cli("select", "--config", str(cfg)) == 1
     err = capsys.readouterr().err
     assert err == "error: SampleParseError: line 1: empty input, expected header\n"
+
+
+def test_select_with_an_empty_validation_split_exits_1_before_any_fit(tmp_path, monkeypatch,
+                                                                     capsys):
+    # 60-min products start on the hour, so none falls in [00:10, 00:40)
+    calls = {"fit_l1_lqr": 0}
+    monkeypatch.setattr(selection, "fit_l1_lqr",
+                        _counting(calls, "fit_l1_lqr", selection.fit_l1_lqr))
+    cfg = write_cfg(tmp_path, train_end="2024-03-05T00:10:00",
+                    val_end="2024-03-05T00:40:00")
+    assert run_cli("select", "--config", str(cfg)) == 1
+    err = capsys.readouterr().err
+    assert err == "error: ValueError: the validation set is empty: no penalty can be tuned\n"
+    assert calls == {"fit_l1_lqr": 0}
+    assert not list((tmp_path / "ws").rglob("selection.json"))
+
+
+@pytest.mark.parametrize("command,writer,name", [
+    ("synth", "write_trades_csv", "trades.csv"),
+    ("extract", "write_samples_csv", "features.csv"),
+])
+def test_a_cut_write_leaves_no_file_and_a_rerun_reads_every_row(tmp_path, monkeypatch,
+                                                                command, writer, name):
+    real = getattr(market, writer)
+
+    def cut(rows, fh, *args):
+        buf = io.StringIO()
+        real(rows, buf, *args)
+        fh.write(buf.getvalue()[:len(buf.getvalue()) // 2])
+        raise OSError(28, "No space left on device")
+
+    cfg = write_cfg(tmp_path)
+    if command == "extract":
+        assert run_cli("synth", "--config", str(cfg)) == 0
+    monkeypatch.setattr(market, writer, cut)
+    assert run_cli(command, "--config", str(cfg)) == 1
+    monkeypatch.undo()
+    run = Run(load_config(str(cfg), {}))
+    area = run.path("synth" if command == "synth" else "features")
+    assert [p.name for p in area.iterdir() if name in p.name] == []
+    # the next command finds the file missing and makes it whole
+    if command == "synth":
+        trades = cli._load_trades(run)
+        meta = json.loads((area / "meta.json").read_text())
+        assert len(trades) == meta["n_trades"] > 0
+    else:
+        split = cli._split(run)
+        report = json.loads((area / "drop_report.json").read_text())
+        assert len(split.train + split.val + split.test) == report["n_built"] > 0
+        with open(area / name, newline="", encoding="utf-8") as fh:
+            assert len(market.read_samples_csv(fh)) == report["n_built"]
 
 
 def test_train_top5_checkpoints_the_top_k_union(tmp_path):

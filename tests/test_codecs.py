@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from bookcast import market
 from bookcast.features import FEATURE_NAMES
 from bookcast.market import (ProductSpec, Sample, TradeTable, load_samples, parse_trades,
-                             read_samples_csv, write_samples_csv, write_samples_sidecar,
+                             read_samples_csv, save_samples, write_samples_csv,
                              write_trades_csv)
 from bookcast.synth import SynthConfig, generate
 from bookcast.util import (UTC, format_micros, format_timestamp, from_micros,
@@ -250,8 +250,8 @@ def _check_sample_codecs(samples, extra, rows, tmp_path):
             assert len(read) == len(reference) == len(samples)
             _assert_same_samples(read, reference)
     path = tmp_path / "features.csv"
-    path.write_text(got.getvalue(), newline="", encoding="utf-8")
-    write_samples_sidecar(samples, path)
+    save_samples(samples, path, extra)
+    assert path.read_bytes() == got.getvalue().encode("utf-8")
     _assert_same_samples(load_samples(path), read)
 
 

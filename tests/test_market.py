@@ -386,9 +386,13 @@ def test_read_samples_csv_names_the_line_and_field_of_a_bad_value():
     fields = lines[2].split(",")
     fields[4 + FEATURE_NAMES.index("vwap|buy|15")] = "x"
     lines[2] = ",".join(fields)
+    # a record spans two lines with its quoted extra value, and a blank
+    # record follows: the bad row is the fourth record
+    lines[1] = lines[1][:-len("abc")] + '"a\r\nb"'
+    lines.insert(2, "")
     with pytest.raises(SampleParseError) as err:
-        read_samples_csv(io.StringIO("\r\n".join(lines)))
-    assert str(err.value) == ("line 3, field 'vwap|buy|15': "
+        read_samples_csv(io.StringIO("\r\n".join(lines), newline=""))
+    assert str(err.value) == ("line 4, field 'vwap|buy|15': "
                               "could not convert string to float: 'x'")
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bookcast import selection
 from bookcast.features import FEATURE_NAMES
 from bookcast.metrics import pinball
 from bookcast.selection import (GAP_TOL, L1QuantileFit, SolverConfig, alpha_max,
@@ -278,6 +279,14 @@ def test_tune_alpha_rejects_out_of_range_grid():
     with pytest.raises(ValueError):
         tune_alpha(train, val, 0.5, alpha_grid=[])
 
+
+
+def test_tune_alpha_rejects_an_empty_validation_set_before_any_fit(monkeypatch):
+    rng = np.random.default_rng(11)
+    train, (X_val, y_val) = _split_data(rng)
+    monkeypatch.setattr(selection, "fit_l1_lqr", None)  # any fit would raise TypeError
+    with pytest.raises(ValueError, match="validation set is empty"):
+        tune_alpha(train, (X_val[:0], y_val[:0]), 0.5, alpha_grid=4)
 
 # ---------------------------------------------------------------- selection
 
