@@ -4,7 +4,9 @@
 
 Times ``synth`` and ``extract`` (``bookcast.cli.main``) of a 60-min DE book at
 liquidity 40, 7 (desk) or 60 (paper) days, then one read, write and (where the
-package has it) ``load_samples`` of its ``features.csv``. Rows are ``{git_rev,
+package has it) ``load_samples`` of its ``features.csv``. ``parse_trades`` of
+the synth-written ``trades.csv`` runs in a fresh process, which reports its
+time and its own peak RSS (``parse_trades_peak_rss_mb``). Rows are ``{git_rev,
 scale, <stage>: seconds, peak_rss_mb}``; ``--src DIR`` times another checkout.
 """
 
@@ -29,6 +31,20 @@ ROOT = Path(__file__).resolve().parent.parent
 SCALES = {"desk": {"horizon_end": "2024-01-08T00:00:00", "train_end": "2024-01-05T00:00:00",
                    "val_end": "2024-01-06T00:00:00", "test_end": "2024-01-08T00:00:00"},
           "paper": {}}
+# one parse of a trade file in a fresh interpreter: argv is (src, trades.csv).
+# Its peak is VmHWM, the high-water mark of its own address space: Linux
+# carries the parent's peak into a spawned child's ru_maxrss.
+PARSE = """import json, sys, time
+sys.path.insert(0, sys.argv[1])
+from bookcast import market
+with open(sys.argv[2], newline="", encoding="utf-8") as fh:
+    t = time.perf_counter()
+    market.parse_trades(fh)
+    t = time.perf_counter() - t
+with open("/proc/self/status") as fh:
+    kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(json.dumps([round(t, 4), round(kb / 1024, 1)]))
+"""
 
 
 def measure(scale: str, src: Path) -> dict:
@@ -48,6 +64,10 @@ def measure(scale: str, src: Path) -> dict:
         for command in ("synth", "extract"):
             if timed(command, cli.main, [command, "--config", str(cfg)]) != 0:
                 raise SystemExit(f"{command} failed at scale {scale}")
+        trades = next((Path(tmp) / "ws" / "synth").glob("*/trades.csv"))
+        parse = subprocess.run([sys.executable, "-c", PARSE, str(src.resolve()), str(trades)],
+                               capture_output=True, text=True, check=True)
+        row["parse_trades"], row["parse_trades_peak_rss_mb"] = json.loads(parse.stdout)
         path = next((Path(tmp) / "ws" / "features").glob("*/features.csv"))
         with open(path, newline="", encoding="utf-8") as fh:
             samples = timed("read_samples_csv", market.read_samples_csv, fh)

@@ -14,7 +14,8 @@ missing upstream output makes it first. Every selection, the main split's
 or a transfer domain's under its own key, is fitted by ``_fit_selection``
 (which names an uncertified fit and exits 1 on an empty union) and read
 back from its ``selection.json``. Samples cross commands through
-``market.save_samples`` and ``market.load_samples``.
+``market.save_samples`` and ``market.load_samples``. Every text output is
+written whole or not at all (``util.replacing``).
 Exit codes: 0 success, 1 runtime failure, 2 config error.
 """
 
@@ -316,14 +317,14 @@ class Run:
 
     def write_json(self, area: str, name: str, payload: dict) -> Path:
         path = self.dir(area) / name
-        payload = {**payload, **self.meta(area)}
-        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                        encoding="utf-8")
+        with replacing(path) as fh:
+            json.dump({**payload, **self.meta(area)}, fh, sort_keys=True, indent=2)
+            fh.write("\n")
         return path
 
     def write_csv(self, area: str, name: str, header: Sequence[str],
                   rows: Sequence[Sequence]) -> None:
-        with open(self.dir(area) / name, "w", newline="", encoding="utf-8") as fh:
+        with replacing(self.dir(area) / name) as fh:
             writer = csv.writer(fh)
             writer.writerow(list(header) + ["config_hash", "tool_version"])
             for row in rows:
@@ -388,9 +389,8 @@ def _fit_selection(run: Run, domain: Domain) -> Path:
         print(f"selection is empty for domain {domain.name}: every coefficient "
               "fell below the zero threshold at the tuned penalty", file=sys.stderr)
         raise SystemExit(1)
-    payload = sel.to_dict()
-    payload["breakdown"] = importance_breakdown(sel).to_dict()
-    out = run.write_json("selection", "selection.json", payload)
+    out = run.write_json("selection", "selection.json", {
+        **sel.to_dict(), "breakdown": dataclasses.asdict(importance_breakdown(sel))})
     rows = []
     for tau in run.quantiles:
         names, _short = top_k(sel, tau, run.top_k)
@@ -462,7 +462,7 @@ def cmd_train(run: Run) -> Path:
                         prep=result.prep,
                         extra_meta={"config_hash": run.keys["models"],
                                     "best_trial": result.best_trial.trial_id})
-        with open(out_dir / f"trials_seed{seed}.jsonl", "w", encoding="utf-8") as fh:
+        with replacing(out_dir / f"trials_seed{seed}.jsonl") as fh:
             write_trials_jsonl(result.trials, fh)
     log.info("trained %d seeds for family %s into %s", len(results), run.family, out_dir)
     return out_dir
@@ -505,7 +505,7 @@ def cmd_transfer(run: Run) -> Path:
         "trade_count_ratio": pair.trade_count_ratio,
         "loss_ratio": pair.loss_ratio,
         "summary": pair.summary,
-        "runs": {s: [r.to_dict() for r in rs] for s, rs in pair.reports.items()},
+        "runs": {s: [dataclasses.asdict(r) for r in rs] for s, rs in pair.reports.items()},
     })
     run.write_csv("transfer", "table.csv",
                   ["strategy", "AQL", "AQCR", "RMSE", "MAE", "R2", "loss_ratio"],

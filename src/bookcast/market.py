@@ -9,8 +9,9 @@ Trades (``trades.csv``) and samples (``features.csv``) cross the disk as
 CSV. Writers emit the bytes ``csv.writer`` would emit for
 ``format_timestamp`` and ``repr`` fields, a fixed-size block of rows at a
 time. The trade reader parses a block of plain canonical lines column by
-column and hands any other block to a per-row parse that reports the first
-bad line and field; both give the same values. The sample reader parses one
+column and hands any other block (one with a blank line too) to a per-row
+parse that reports the first bad line and field; one rule then rejects
+rows from both. The sample reader parses one
 record at a time. ``save_samples`` is the one writer of ``features.csv``,
 the canonical file, the one to edit or ship: it writes the CSV whole or not
 at all, then its parsed columns as ``features.<column>.npy`` and, last, its
@@ -269,14 +270,15 @@ def _parse_field(error, lineno: int, name: str, parse, raw: str):
 
 
 def _parse_blocks(lines: Iterator[str], tz: dt.tzinfo) -> Iterator:
-    """Parse the trade records after the header, a block of lines at a time.
+    """Parse the trade records after the header, a block of lines at a time,
+    and yield each block's columns through ``_reject``.
 
     A line is plain when, without its line end, it holds no quote, no
     carriage return and no more than ``csv.field_size_limit()`` characters:
-    ``csv.reader`` then splits it at each comma. When every line of a block
-    is plain and has five fields or none, ``_trade_lines`` gets the
-    non-blank ones. When it returns None, ``_trade_records`` gets the
-    block's records from ``csv.reader`` instead, read on into ``lines``
+    ``csv.reader`` then splits it at each comma. A block of plain lines with
+    exactly four commas each goes to ``_trade_lines``. Any other block (one
+    with a blank line too), or one it returns None for, goes to
+    ``_trade_records`` as ``csv.reader`` reads it, read on into ``lines``
     while a quoted field spans lines. Line numbers count records from 2,
     blank ones included.
     """
@@ -287,13 +289,9 @@ def _parse_blocks(lines: Iterator[str], tz: dt.tzinfo) -> Iterator:
         plain = list(map(str.rstrip, block, itertools.repeat("\r\n")))
         text = "".join(plain)
         if ('"' not in text and "\r" not in text
-                and max(map(len, plain)) <= csv.field_size_limit()):
-            filled = np.fromiter(map(bool, plain), dtype=bool, count=len(plain))
-            commas = np.fromiter(map(str.count, plain, itertools.repeat(",")),
-                                 dtype=np.int64, count=len(plain))
-            if ((commas == n_fields - 1) | ~filled).all():
-                parsed = _trade_lines(list(itertools.compress(plain, filled)),
-                                      np.flatnonzero(filled) + lineno)
+                and max(map(len, plain)) <= csv.field_size_limit()
+                and set(map(str.count, plain, itertools.repeat(","))) == {n_fields - 1}):
+            parsed = _trade_lines(plain, lineno)
         n_records = len(block)
         if parsed is None:
             reader = csv.reader(itertools.chain(block, lines))
@@ -304,19 +302,30 @@ def _parse_blocks(lines: Iterator[str], tz: dt.tzinfo) -> Iterator:
                     break
             parsed = _trade_records(records, lineno, tz)
             n_records = len(records)
-        yield parsed
+        yield _reject(*parsed)
         lineno += n_records
 
 
+def _reject(product_us, exec_us, is_buy, price, volume, line):
+    """The accepted rows' first five columns and the rejected rows: those
+    with a volume <= 0 or executed at or after their delivery start."""
+    low_volume = volume <= 0
+    bad = low_volume | (exec_us >= product_us)
+    rejected = [RejectedRow(n, f"volume {v} <= 0" if low
+                            else "exec_time at or after product_start")
+                for n, low, v in zip(line[bad].tolist(), low_volume[bad].tolist(),
+                                     volume[bad].tolist())]
+    return [c[~bad] for c in (product_us, exec_us, is_buy, price, volume)], rejected
+
+
 def _trade_records(records: List[List[str]], lineno: int, tz: dt.tzinfo):
-    """The columns of the accepted rows and the rejected rows, parsed one
-    record at a time; raises TradeParseError at the first bad row."""
+    """Columns product_us, exec_us, is_buy, price, volume and line of the
+    records, parsed one at a time; raises TradeParseError at the first bad row."""
 
     def micros(raw: str) -> int:
         return to_micros(parse_timestamp(raw, tz))
 
     rows: List[tuple] = []
-    rejected: List[RejectedRow] = []
     for line, row in enumerate(records, lineno):
         if not row:
             continue
@@ -333,21 +342,15 @@ def _trade_records(records: List[List[str]], lineno: int, tz: dt.tzinfo):
         for name, value in (("price", price), ("volume", volume)):
             if not math.isfinite(value):
                 raise TradeParseError(line, f"non-finite value {value!r}", name)
-        if volume <= 0:
-            rejected.append(RejectedRow(line, f"volume {volume} <= 0"))
-            continue
-        if exec_us >= product_us:
-            rejected.append(RejectedRow(line, "exec_time at or after product_start"))
-            continue
-        rows.append((product_us, exec_us, side == BUY, price, volume))
-    columns = list(zip(*rows)) or [()] * 5
-    return [np.array(c, dtype=d) for c, d in zip(columns, _COLUMN_DTYPES)], rejected
+        rows.append((product_us, exec_us, side == BUY, price, volume, line))
+    columns = list(zip(*rows)) or [()] * 6
+    return [np.array(c, dtype=d) for c, d in zip(columns, _COLUMN_DTYPES)]
 
 
-def _trade_lines(lines: List[str], line_no: np.ndarray):
-    """What ``_trade_records`` returns for these five-field lines, column by
-    column; None unless every row has ``Z`` timestamps in the canonical
-    form, side ``+`` or ``-`` and finite numbers."""
+def _trade_lines(lines: List[str], lineno: int):
+    """What ``_trade_records`` returns for these five-field lines from line
+    ``lineno``, column by column; None unless every row has ``Z`` timestamps
+    in the canonical form, side ``+`` or ``-`` and finite numbers."""
     fields = ",".join(lines).split(",")
     sides = fields[1::5]
     if not set(sides) <= set(SIDES):
@@ -368,14 +371,8 @@ def _trade_lines(lines: List[str], line_no: np.ndarray):
     product_us = np.fromiter(map(by_start.__getitem__, fields[0::5]), dtype=np.int64,
                              count=len(lines))
     is_buy = np.fromiter(map(BUY.__eq__, sides), dtype=bool, count=len(lines))
-    low_volume = volume <= 0
-    bad = low_volume | (exec_us >= product_us)
-    rejected = [RejectedRow(line, f"volume {v} <= 0" if low
-                            else "exec_time at or after product_start")
-                for line, low, v in zip(line_no[bad].tolist(), low_volume[bad].tolist(),
-                                        volume[bad].tolist())]
-    keep = ~bad
-    return [product_us[keep], exec_us[keep], is_buy[keep], price[keep], volume[keep]], rejected
+    return [product_us, exec_us, is_buy, price, volume,
+            np.arange(lineno, lineno + len(lines), dtype=np.int64)]
 
 
 def parse_trades(source, tz: dt.tzinfo = UTC) -> Tuple[TradeTable, List[RejectedRow]]:

@@ -34,7 +34,6 @@ from .features import parse_feature_name
 from .metrics import pinball
 from .util import pinball_quantile
 
-DEFAULT_QUANTILES = (0.1, 0.5, 0.9)
 # fit_l1_lqr zeroes every coefficient whose column keeps dual slack, so this
 # only drops the negligible ones a degenerate vertex or a stopped solve leaves
 ZERO_THRESHOLD = 1e-6
@@ -443,10 +442,6 @@ class ImportanceBreakdown:
     by_family: Dict[str, float]
     by_window: Dict[str, float]
     by_side: Dict[str, float]
-
-    def to_dict(self) -> dict:
-        return {"by_family": self.by_family, "by_window": self.by_window,
-                "by_side": self.by_side}
 
 
 def importance_breakdown(result: SelectionResult) -> ImportanceBreakdown:

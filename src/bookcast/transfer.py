@@ -112,17 +112,6 @@ class TransferReport:
     loss_ratio: Optional[float]
     trade_count_ratio: float
 
-    def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "target": self.target,
-            "source": self.source,
-            "seed": self.seed,
-            "metrics": self.metrics.to_dict(),
-            "loss_ratio": self.loss_ratio,
-            "trade_count_ratio": self.trade_count_ratio,
-        }
-
 
 def run_strategy(strategy: str, A: Domain, B: Domain, family: str,
                  budget: int, seed: int, quantiles,

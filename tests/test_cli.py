@@ -1,5 +1,6 @@
 import io
 import json
+import logging
 import os
 import re
 import subprocess
@@ -409,6 +410,45 @@ def test_extract_short_trade_row_exits_1_naming_the_line(tmp_path, capsys):
     assert not (tmp_path / "ws" / "features").exists()
 
 
+def test_extract_warns_of_each_rejected_trade_row(tmp_path, caplog):
+    trades = tmp_path / "trades.csv"
+    trades.write_text("product_start,side,exec_time,price,volume\n"
+                      "2024-03-02T12:00:00Z,+,2024-03-02T08:00:00Z,50.0,5.0\n"
+                      "2024-03-02T12:00:00Z,-,2024-03-02T08:30:00Z,49.0,0.0\n"
+                      "2024-03-02T12:00:00Z,-,2024-03-02T08:45:00Z,49.5,2.0\n"
+                      "2024-03-02T12:00:00Z,+,2024-03-02T12:05:00Z,51.0,1.0\n"
+                      "2024-03-02T12:00:00Z,+,2024-03-02T10:00:00Z,51.0,1.0\n")
+    cfg = write_cfg(tmp_path, trades_csv=str(trades))
+    with caplog.at_level(logging.WARNING, logger="bookcast"):
+        assert run_cli("extract", "--config", str(cfg)) == 0
+    assert [r.getMessage() for r in caplog.records if r.name == "bookcast"] == [
+        "rejected trade row 3: volume 0.0 <= 0",
+        "rejected trade row 5: exec_time at or after product_start"]
+    report = json.loads((_hash_dir(tmp_path / "ws", "features")
+                         / "drop_report.json").read_text())
+    # one product with both sides before its cutoff and a trade in its target window
+    assert {k: v for k, v in report.items() if k.startswith("n_")} == {
+        "n_products": 7 * 24, "n_built": 1, "n_discarded_features": 7 * 24 - 1,
+        "n_discarded_with_target": 0, "n_missing_target": 0}
+
+
+def test_samples_at_or_beyond_test_end_are_dropped_with_a_warning(tmp_path, caplog):
+    # the last day is held out: its 24 products, the first on test_end itself
+    cfg = write_cfg(tmp_path, test_end="2024-03-07T00:00:00")
+    assert run_cli("extract", "--config", str(cfg)) == 0
+    run = Run(load_config(str(cfg), {}))
+    samples = market.load_samples(run.path("features", "features.csv"))
+    beyond = [s for s in samples if s.delivery_time >= run.boundaries.test_end]
+    assert beyond and min(s.delivery_time for s in beyond) == run.boundaries.test_end
+    with caplog.at_level(logging.WARNING, logger="bookcast.market"):
+        split = cli._split(run)
+    kept = split.train + split.val + split.test
+    assert len(kept) == len(samples) - len(beyond)
+    assert max(s.delivery_time for s in kept) < run.boundaries.test_end
+    assert f"{len(beyond)} samples at or beyond test_end were dropped" in [
+        r.getMessage() for r in caplog.records]
+
+
 def test_select_on_an_empty_features_csv_exits_1_naming_line_1(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert run_cli("extract", "--config", str(cfg)) == 0
@@ -468,6 +508,28 @@ def test_a_cut_write_leaves_no_file_and_a_rerun_reads_every_row(tmp_path, monkey
         assert len(split.train + split.val + split.test) == report["n_built"] > 0
         with open(area / name, newline="", encoding="utf-8") as fh:
             assert len(market.read_samples_csv(fh)) == report["n_built"]
+
+
+def test_a_cut_selection_json_leaves_no_file_and_train_refits(tmp_path, monkeypatch):
+    real = json.dump
+
+    def cut(payload, fh, **kwargs):
+        if not fh.name.endswith("selection.json.part"):
+            return real(payload, fh, **kwargs)
+        text = json.dumps(payload, **kwargs)
+        fh.write(text[:len(text) // 2])
+        raise OSError(28, "No space left on device")
+
+    cfg = write_cfg(tmp_path, seeds=[0], model={"feature_set": "full"})
+    assert run_cli("extract", "--config", str(cfg)) == 0
+    monkeypatch.setattr(json, "dump", cut)
+    assert run_cli("select", "--config", str(cfg)) == 1
+    monkeypatch.undo()
+    area = Run(load_config(str(cfg), {})).path("selection")
+    assert [p.name for p in area.iterdir() if "selection.json" in p.name] == []
+    # train finds no selection and fits it again
+    assert run_cli("train", "--config", str(cfg)) == 0
+    assert json.loads((area / "selection.json").read_text())["union"]
 
 
 def test_train_top5_checkpoints_the_top_k_union(tmp_path):
