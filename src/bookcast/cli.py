@@ -14,8 +14,8 @@ missing upstream output makes it first. Every selection, the main split's
 or a transfer domain's under its own key, is fitted by ``_fit_selection``
 (which names an uncertified fit and exits 1 on an empty union) and read
 back from its ``selection.json``. Samples cross commands through
-``market.save_samples`` and ``market.load_samples``. Every text output is
-written whole or not at all (``util.replacing``).
+``market.save_samples`` and ``market.load_samples``. Every text output and
+checkpoint is written whole or not at all (``util.replacing``).
 Exit codes: 0 success, 1 runtime failure, 2 config error.
 """
 

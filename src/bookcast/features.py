@@ -6,16 +6,22 @@ vector (32 x 2 sides x 6 windows). Windows are left-open, right-closed
 (t_f - w, t_f]; the unbounded window covers all history up to t_f. An
 empty window borrows the statistics of the smallest strictly longer
 non-empty window; a sample whose unbounded window is empty on either side
-is discarded. One kernel, ``side_window_stats``, computes all six windows
-of a side; ``extract_features`` and sample assembly both go through it.
+is discarded.
+
+One kernel, ``product_features``, computes every window of a block of
+products in whole-array passes; ``side_window_stats`` and
+``extract_features`` are its one-side and one-product calls. Its results
+are numpy's, bit for bit, on one (2, m) price/volume block per window:
+each window is sorted on its own, and sums, volatilities and VWAP dots run
+on the windows grouped by length (``np.add.reduceat`` and ``np.einsum``
+across lengths round differently).
 """
 
 from __future__ import annotations
 
 import datetime as dt
-import functools
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,20 +120,23 @@ FEATURE_NAMES: Tuple[str, ...] = tuple(
 N_FEATURES = len(FEATURE_NAMES)
 
 _NAME_POS = {n: i for i, n in enumerate(FEATURE_NAMES)}
-# (window, statistic) -> position in the feature vector, per side
-_SIDE_POS: Dict[str, np.ndarray] = {
-    side: np.array([[_NAME_POS[feature_name(family, side, label, p)]
-                     for family, p in _SUBVEC] for label in WINDOW_LABELS], dtype=np.intp)
-    for side in SIDE_LABELS
-}
+# feature-vector column of each kernel cell, in (side, window, statistic) order
+_FROM_KERNEL = np.argsort([_NAME_POS[feature_name(family, side, label, p)]
+                           for side in SIDE_LABELS for label in WINDOW_LABELS
+                           for family, p in _SUBVEC])
 _LEVELS = np.array(PERCENTILES, dtype=float) / 100.0
-_BOUNDED_US = np.array([int(w * 60_000_000) for w in WINDOW_MINUTES[:-1]], dtype=np.int64)
+# ages t_f - exec_time at the windows' left edges: a trade of age a lies in
+# window k when 0 <= a < _AGE_EDGES[k + 1]
+_AGE_EDGES = np.array([0] + [int(w * 60_000_000) for w in WINDOW_MINUTES[:-1]], dtype=np.int64)
+# trades per kernel block (a larger product is a block of its own); a
+# block's windows hold at most six copies of its trades
+BLOCK_TRADES = 1 << 13
 
 
 def window_trades(trades_side: Sequence, t_f: dt.datetime, window) -> list:
     """Trades of one side with exec_time in (t_f - window, t_f]; the
     unbounded window keeps everything up to t_f. A per-trade reference for
-    the window bounds; the kernel finds windows with ``searchsorted``."""
+    the window bounds; the kernel counts each window's trades."""
     t_f_us = to_micros(t_f)
     label = _window_label(window)
     if label == "inf":
@@ -136,113 +145,151 @@ def window_trades(trades_side: Sequence, t_f: dt.datetime, window) -> list:
     return [t for t in trades_side if lo < to_micros(t.exec_time) <= t_f_us]
 
 
-@functools.lru_cache(maxsize=4096)
-def _lerp_plan(m: int) -> Tuple[np.ndarray, ...]:
-    """numpy's "linear" quantile plan for m sorted values: the neighbour
-    indices of each virtual index (m-1)q, clamped to the last value at the
-    top, the interpolation weight and the mask of its t >= 0.5 branch."""
-    virtual = (m - 1) * _LEVELS
-    below = np.floor(virtual).astype(np.intp)
-    above = below + 1
-    top = virtual >= m - 1
-    below[top] = -1
-    above[top] = -1
-    gamma = virtual - below
-    plan = (below, above, gamma, gamma >= 0.5)
-    for arr in plan:
-        arr.flags.writeable = False
-    return plan
+def _ragged_range(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The concatenated ranges starts[i] + arange(sizes[i])."""
+    ends = np.cumsum(sizes)
+    return np.repeat(starts - ends + sizes, sizes) + np.arange(ends[-1] if ends.size else 0)
 
 
-def _suffix_stats(block: np.ndarray, row: np.ndarray) -> None:
-    """Write the 32 statistics of one window into ``row``.
+def _window_stats(times_us: np.ndarray, prices: np.ndarray, volumes: np.ndarray,
+                  offsets: np.ndarray, t_f_us: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The (G, 6, 32) window statistics of G groups of trades, and each
+    group's trade count up to its t_f (a group with none is left unset).
 
-    ``block`` stacks the window's prices and volumes as a (2, m) array in
-    (exec_time, seq) order. Percentiles reproduce numpy's ``quantile`` with
-    method "linear" bit for bit: virtual index (m-1)q, neighbours clamped at
-    the top, and its two-sided lerp. Mean and std are numpy's row
-    reductions of the time-ordered block.
+    Group g is rows offsets[g]:offsets[g+1], sorted by (exec_time, seq),
+    with forecast time t_f_us[g]. Each window is a suffix of the group's
+    trades up to t_f: every distinct non-empty suffix is computed once,
+    and an empty window copies the row of the next longer window.
     """
-    m = block.shape[1]
-    srt = np.sort(block, axis=1)
-    below, above, gamma, upper = _lerp_plan(m)
-    lo = srt[:, below]
-    hi = srt[:, above]
-    diff = hi - lo
-    pctl = lo + diff * gamma
-    np.subtract(hi, diff * (1 - gamma), out=pctl, where=upper)
+    n_groups, n = t_f_us.size, len(WINDOW_LABELS) + 1
+    counts = np.diff(offsets)
+    # 0 after t_f, k + 1 for a trade first inside window k
+    level = np.searchsorted(_AGE_EDGES, np.repeat(t_f_us, counts) - times_us, side="right")
+    sizes = np.bincount(np.repeat(np.arange(n_groups) * n, counts) + level,
+                        minlength=n_groups * n).reshape(-1, n)[:, 1:].cumsum(axis=1)
+    fresh = sizes > 0
+    fresh[:, :-1] &= sizes[:, :-1] != sizes[:, 1:]
+    group, window = np.nonzero(fresh)
+    m = sizes[group, window]
+    by_length = np.argsort(m, kind="stable")
+    group, window, m = group[by_length], window[by_length], m[by_length]
+    base = np.cumsum(m) - m  # each suffix's first element in the expansion
+    rows = _ragged_range(offsets[group] + sizes[group, -1] - m, m)
+    block = np.stack((prices[rows], volumes[rows]))  # (2, expanded), time order
+    srt = block.copy()
+    sums, squares, dots = np.empty((2, m.size)), np.empty((2, m.size)), np.empty(m.size)
+    # the suffixes of each length as (2, count, length) views
+    lengths, firsts, n_suffixes = np.unique(m, return_index=True, return_counts=True)
+    spans = [(slice(a, a + c), slice(lo, lo + c * length), length)
+             for length, a, c, lo in zip(lengths.tolist(), firsts.tolist(),
+                                         n_suffixes.tolist(), base[firsts].tolist())]
+    for cut, span, length in spans:
+        srt[:, span].reshape(2, -1, length).sort(axis=-1)
+        block[:, span].reshape(2, -1, length).sum(axis=-1, out=sums[:, cut])
+    dev = block - np.repeat(sums / m, m, axis=1)
+    dev *= dev
+    centered = block[0] - np.repeat(block[0, base], m)
+    for cut, span, length in spans:
+        dev[:, span].reshape(2, -1, length).sum(axis=-1, out=squares[:, cut])
+        np.matmul(centered[span].reshape(-1, 1, length), block[1, span].reshape(-1, length, 1),
+                  out=dots[cut, None, None])
 
-    sums = block.sum(axis=1)
-    means = sums / m
-    dev = block - means[:, None]
-    std = np.sqrt((dev * dev).sum(axis=1) / m)
+    # numpy's "linear" quantile: virtual index (m-1)q and its two-sided
+    # lerp; a single value (m == 1) is read as the top neighbour
+    virtual = (m - 1)[:, None] * _LEVELS
+    top = virtual >= (m - 1)[:, None]
+    below = np.where(top, -1, np.floor(virtual).astype(np.intp))
+    gamma = virtual - below
+    lo = base[:, None] + np.where(top, m[:, None] - 1, below)
+    lo_val, hi_val = srt[:, lo], srt[:, np.where(top, lo, lo + 1)]
+    diff = hi_val - lo_val
+    pctl = lo_val + diff * gamma
+    np.subtract(hi_val, diff * (1 - gamma), out=pctl, where=gamma >= 0.5)
+
+    last = base + m - 1
+    first_val, last_val = block[:, base], block[:, last]
+    stats = np.empty((m.size, N_STATS))
     # price and volume rows of the 32: 7 percentiles, min, max, first, last,
     # mean, volatility, delta
-    cells = row[:28].reshape(2, 14)
-    cells[:, :7] = pctl
-    cells[:, 7] = srt[:, 0]
-    cells[:, 8] = srt[:, -1]
-    cells[:, 9] = block[:, 0]
-    cells[:, 10] = block[:, -1]
-    cells[:, 11] = means
-    cells[:, 12] = std
-    cells[:, 13] = block[:, -1] - block[:, 0]
-
-    prices, volumes = block
+    cells = stats[:, :28].reshape(-1, 2, 14).transpose(1, 0, 2)
+    cells[:, :, :7] = pctl
+    cells[:, :, 7:] = np.stack((srt[:, base], srt[:, last], first_val, last_val, sums / m,
+                                np.sqrt(squares / m), last_val - first_val), axis=-1)
     # centered weighted mean: exact for constant prices, well conditioned
     # for price levels far from zero
-    p0 = float(prices[0])
-    vwap = p0 + float(np.dot(prices - p0, volumes) / sums[1])
-    last_p = float(prices[-1])
-    momentum = 0.0 if abs(vwap) < VWAP_EPS else (last_p - vwap) / vwap
-    row[28:] = (sums[1], m, vwap, momentum)
+    vwap = first_val[0] + dots / sums[1]
+    momentum = np.zeros(m.size)
+    np.divide(last_val[0] - vwap, vwap, out=momentum, where=np.abs(vwap) >= VWAP_EPS)
+    stats[:, 28:] = np.stack((sums[1], m, vwap, momentum), axis=1)
+
+    out = np.empty((n_groups, n - 1, N_STATS))
+    out[group, window] = stats
+    for k in range(n - 3, -1, -1):
+        np.copyto(out[:, k], out[:, k + 1], where=~fresh[:, k, None])
+    return out, sizes[:, -1]
 
 
 def side_window_stats(times_us: np.ndarray, prices: np.ndarray, volumes: np.ndarray,
                       t_f_us: int) -> np.ndarray:
     """The (6, 32) statistics of one side, a row per window in
-    ``WINDOW_LABELS`` order and the statistics in family order.
+    ``WINDOW_LABELS`` order and the statistics in family order: the
+    one-side call of the kernel.
 
     Arrays hold the side's trades at or before t_f, sorted by (exec_time,
-    seq). Nested windows share the right endpoint, so each window is a
-    suffix; each distinct non-empty suffix is computed once, and an empty
-    window copies the row of the next longer window. Percentiles use linear
-    interpolation between order statistics; volatility uses population
-    (1/n) normalization. Raises ValueError when the side has no trades.
+    seq). Percentiles use linear interpolation between order statistics;
+    volatility uses population (1/n) normalization. Raises ValueError when
+    the side has no trades.
     """
-    n = times_us.size
-    if n == 0:
+    if times_us.size == 0:
         raise ValueError("side_window_stats requires at least one trade")
-    starts = np.searchsorted(times_us, t_f_us - _BOUNDED_US, side="right").tolist()
-    block = np.stack((prices, volumes))
-    out = np.empty((len(WINDOW_LABELS), N_STATS))
-    _suffix_stats(block, out[-1])
-    last = 0
-    for k in range(len(starts) - 1, -1, -1):
-        start = starts[k]
-        if start >= n or start == last:
-            out[k] = out[k + 1]
-        else:
-            _suffix_stats(block[:, start:], out[k])
-            last = start
-    return out
+    return _window_stats(times_us, prices, volumes, np.array([0, times_us.size]),
+                         np.array([t_f_us], dtype=np.int64))[0][0]
+
+
+def product_features(table, rows: np.ndarray, lo: np.ndarray,
+                     hi: np.ndarray, t_f_us: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The (P, 384) feature matrix of P products and the mask of the kept
+    ones: a product without a buy or a sell at or before its t_f is
+    discarded, and its row is NaN.
+
+    Product p is rows rows[lo[p]:hi[p]] of the ``TradeTable`` ``table``, in
+    (exec_time, seq) order, with forecast time t_f_us[p]. Products go
+    through the kernel in blocks of at most ``BLOCK_TRADES`` trades (or one
+    product); the block size changes no bit of the result.
+    """
+    lo, hi, t_f_us = (np.asarray(a, dtype=np.int64) for a in (lo, hi, t_f_us))
+    n_trades = hi - lo
+    ends = np.cumsum(n_trades)
+    features = np.empty((lo.size, N_FEATURES))
+    kept = np.empty(lo.size, dtype=bool)
+    a = 0
+    while a < lo.size:
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - n_trades[a] + BLOCK_TRADES,
+                                           side="right")))
+        # the block's rows grouped by (product, side), keeping their order
+        block = rows[_ragged_range(lo[a:b], n_trades[a:b])]
+        side = np.repeat(np.arange(0, 2 * (b - a), 2), n_trades[a:b]) + ~table.is_buy[block]
+        block = block[np.argsort(side, kind="stable")]
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(side, minlength=2 * (b - a)))))
+        stats, n_past = _window_stats(table.exec_us[block], table.price[block],
+                                      table.volume[block], offsets, np.repeat(t_f_us[a:b], 2))
+        kept[a:b] = (n_past > 0).reshape(-1, 2).all(axis=1)
+        np.take(stats.reshape(b - a, -1), _FROM_KERNEL, axis=1, out=features[a:b])
+        a = b
+    features[~kept] = np.nan
+    return features, kept
 
 
 def extract_features(trades: Sequence, t_f: dt.datetime) -> Optional[np.ndarray]:
     """The 384-value feature vector for one product at forecast time t_f,
-    or None when either side has an empty full-history window (discard).
+    or None when either side has an empty full-history window (discard):
+    the one-product call of the kernel.
 
     Takes a ``TradeTable`` or a sequence of ``Trade``.
     """
     from .market import TradeTable  # market imports this module
 
     table = TradeTable.from_trades(trades)
-    t_f_us = to_micros(t_f)
-    past = table[:np.searchsorted(table.exec_us, t_f_us, side="right")]
-    vec = np.empty(N_FEATURES, dtype=float)
-    for side, mask in (("buy", past.is_buy), ("sell", ~past.is_buy)):
-        if not mask.any():
-            return None
-        vec[_SIDE_POS[side]] = side_window_stats(past.exec_us[mask], past.price[mask],
-                                                 past.volume[mask], t_f_us)
-    return vec
+    features, kept = product_features(table, np.arange(len(table)), [0], [len(table)],
+                                      [to_micros(t_f)])
+    return features[0] if kept[0] else None

@@ -457,39 +457,20 @@ def build_samples(trades: Sequence[Trade], spec: ProductSpec, start: dt.datetime
     keys = table.product_us[order]
     deliveries = enumerate_products(spec, start, end)
     deliveries_us = np.array([to_micros(t) for t in deliveries], dtype=np.int64)
-    lo = np.searchsorted(keys, deliveries_us, side="left").tolist()
-    hi = np.searchsorted(keys, deliveries_us, side="right").tolist()
-
-    samples: List[Sample] = []
-    n_discarded = 0
-    n_discarded_with_target = 0
-    n_missing_target = 0
-    for t_d, i, j in zip(deliveries, lo, hi):
-        t_f = t_d - LEAD_TIME
-        prod_trades = table.take(order[i:j])
-        id3 = compute_id3(prod_trades, t_d, spec.delta_m)
-        vec = feat.extract_features(prod_trades, t_f)
-        if vec is None:
-            n_discarded += 1
-            if id3.value is not None:
-                n_discarded_with_target += 1
-            continue
-        if id3.value is None:
-            n_missing_target += 1
-        samples.append(Sample(
-            delivery_time=t_d,
-            forecast_time=t_f,
-            features=vec,
-            target_id3=id3.value,
-            matched_trade_count=id3.trades_used,
-        ))
-    report = BuildReport(
-        n_products=len(deliveries),
-        n_built=len(samples),
-        n_discarded_features=n_discarded,
-        n_discarded_with_target=n_discarded_with_target,
-        n_missing_target=n_missing_target,
-    )
+    lo = np.searchsorted(keys, deliveries_us, side="left")
+    hi = np.searchsorted(keys, deliveries_us, side="right")
+    lead_us = LEAD_TIME // dt.timedelta(microseconds=1)
+    vectors, kept = feat.product_features(table, order, lo, hi, deliveries_us - lead_us)
+    id3s = [compute_id3(table.take(order[i:j]), t_d, spec.delta_m)
+            for t_d, i, j in zip(deliveries, lo.tolist(), hi.tolist())]
+    targeted = np.array([id3.value is not None for id3 in id3s], dtype=bool)
+    # each sample owns its row: a view would keep every product's row alive
+    samples = [Sample(t_d, t_d - LEAD_TIME, vec.copy(), id3.value, id3.trades_used)
+               for t_d, vec, id3, keep in zip(deliveries, vectors, id3s, kept.tolist()) if keep]
+    report = BuildReport(n_products=len(deliveries), n_built=len(samples),
+                         n_discarded_features=int(np.sum(~kept)),
+                         n_discarded_with_target=int(np.sum(~kept & targeted)),
+                         n_missing_target=int(np.sum(kept & ~targeted)))
     return samples, report
 
 

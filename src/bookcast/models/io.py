@@ -9,7 +9,6 @@ bit-exactly.
 
 from __future__ import annotations
 
-import io
 import json
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -17,6 +16,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .._version import __version__
+from ..util import replacing
 from .base import QuantileModel
 from .lqr import LQRModel
 from .qgbt import QGBTModel
@@ -43,7 +43,7 @@ def make_model(family: str, quantiles, seed: int = 0, **config) -> QuantileModel
 def save_checkpoint(path, model: QuantileModel,
                     prep: Optional[dict] = None,
                     extra_meta: Optional[dict] = None) -> None:
-    """Write a self-contained checkpoint.
+    """Write a self-contained checkpoint, whole or not at all.
 
     ``prep`` optionally bundles the feature preprocessing applied before the
     model: {"feature_names": [...], "mean": array, "scale": array}.
@@ -60,9 +60,8 @@ def save_checkpoint(path, model: QuantileModel,
         meta["feature_names"] = list(prep["feature_names"])
         payload["prep_mean"] = np.asarray(prep["mean"], dtype=float)
         payload["prep_scale"] = np.asarray(prep["scale"], dtype=float)
-    buf = io.BytesIO()
-    np.savez(buf, __meta__=json.dumps(meta, sort_keys=True), **payload)
-    Path(path).write_bytes(buf.getvalue())
+    with replacing(Path(path), binary=True) as fh:
+        np.savez(fh, __meta__=json.dumps(meta, sort_keys=True), **payload)
 
 
 def load_checkpoint(path) -> Tuple[QuantileModel, Optional[dict]]:

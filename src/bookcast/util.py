@@ -142,12 +142,13 @@ def file_sha256(path) -> str:
 
 
 @contextlib.contextmanager
-def replacing(path):
-    """A text file written as ``<name>.part`` and moved to ``path`` when whole;
-    removed if the block raises."""
+def replacing(path, binary: bool = False):
+    """A text file (or a binary one) written as ``<name>.part`` and moved to
+    ``path`` when whole; removed if the block raises."""
     part = path.with_name(path.name + ".part")
     try:
-        with open(part, "w", newline="", encoding="utf-8") as fh:
+        with (open(part, "wb") if binary
+              else open(part, "w", newline="", encoding="utf-8")) as fh:
             yield fh
         os.replace(part, path)
     finally:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -530,6 +531,28 @@ def test_a_cut_selection_json_leaves_no_file_and_train_refits(tmp_path, monkeypa
     # train finds no selection and fits it again
     assert run_cli("train", "--config", str(cfg)) == 0
     assert json.loads((area / "selection.json").read_text())["union"]
+
+
+def test_a_cut_checkpoint_leaves_no_file_and_evaluate_asks_for_train(tmp_path, monkeypatch,
+                                                                     capsys):
+    real = np.savez
+
+    def cut(fh, **arrays):
+        buf = io.BytesIO()
+        real(buf, **arrays)
+        fh.write(buf.getvalue()[:len(buf.getvalue()) // 2])
+        raise OSError(28, "No space left on device")
+
+    cfg = write_cfg(tmp_path, seeds=[0])
+    monkeypatch.setattr(np, "savez", cut)
+    assert run_cli("train", "--config", str(cfg)) == 1
+    monkeypatch.undo()
+    area = Run(load_config(str(cfg), {})).path("models")
+    assert [p.name for p in area.iterdir() if ".npz" in p.name] == []
+    assert not (area / "qknn_seed0.npz").exists()
+    capsys.readouterr()
+    assert run_cli("evaluate", "--config", str(cfg)) == 2
+    assert "missing checkpoint" in capsys.readouterr().err
 
 
 def test_train_top5_checkpoints_the_top_k_union(tmp_path):
